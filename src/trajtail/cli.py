@@ -1,7 +1,9 @@
 """Command-line interface tying simulation, estimation and studies together.
 
-Every subcommand prints a JSON report (with the fully resolved configuration
-and seed embedded) to stdout and optionally writes files under ``--out-dir``.
+Every subcommand prints a JSON report to stdout and optionally writes files
+under ``--out-dir``.  The report's ``config`` holds every flag that shapes the
+output, with resolved values where a command resolves one; written back as a
+``--config`` file (see the README) it reproduces the report.
 Exit codes: 0 success, 1 data/convergence error, 2 argument error.
 """
 
@@ -14,44 +16,31 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from scipy.spatial.distance import pdist
 
 from . import bounds as bounds_mod
 from . import core, exponents, ft, spatial
 from .errors import DataError
-from .experiments import STUDIES, StudySpec, emit_report, run_study
+from .experiments import STUDIES, StudySpec, _jsonable, emit_report, run_study
 from .simulate import PROCESS_KINDS, ProcessSpec, simulate
 
 log = logging.getLogger("trajtail")
 
 _KIND_ALIASES = {k.replace("_", "-"): k for k in PROCESS_KINDS}
 _STUDY_ALIASES = {s.replace("_", "-"): s for s in STUDIES}
+# Parsed keys a report's config leaves out: parser bookkeeping, where files go,
+# and settings that change no output value.
+_UNRECORDED = ("func", "subcommand", "out_dir", "verbose", "threads", "config")
+# The store_true flags: a config-file line sets one only with a true value.
+_SWITCHES = ("has_header", "normalize", "verbose")
 
 
-def _jsonable(obj):
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(x) for x in obj.tolist()]
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(x) for x in obj]
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    return obj
-
-
-def _print_report(report: dict) -> None:
-    sys.stdout.write(json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n")
-
-
-def _write_report(report: dict, args, name: str) -> None:
-    if args.out_dir is not None:
-        out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / f"{name}.json").write_text(json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n")
+def _out_file(args, name: str) -> Path | None:
+    if args.out_dir is None:
+        return None
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out / name
 
 
 def _csv_floats(text: str) -> tuple[float, ...]:
@@ -72,8 +61,8 @@ def _common_flags(sub: argparse.ArgumentParser, needs_input: bool = False) -> No
     sub.add_argument("--verbose", action="store_true", help="log progress to stderr")
 
 
-def _quantile_grid(values: np.ndarray, lo: float, hi: float, num: int) -> core.RadiusGrid:
-    return core.RadiusGrid.from_quantiles(values, np.geomspace(lo, hi, num))
+def _quantile_grid(values: np.ndarray, lo: float, hi: float, num: int, rho: float | None = None) -> core.RadiusGrid:
+    return core.RadiusGrid.from_quantiles(values, np.geomspace(lo, hi, num), rho)
 
 
 def _resolve_radii(args, values: np.ndarray) -> core.RadiusGrid:
@@ -100,18 +89,7 @@ def cmd_simulate(args) -> dict:
     core.save_trajectory(trajectory, args.out)
     return {
         "command": "simulate",
-        "config": {
-            "kind": kind,
-            "dim": args.dim,
-            "steps": args.steps,
-            "seed": args.seed,
-            "sigma": list(args.sigma),
-            "stable_alpha": args.stable_alpha,
-            "bp_alpha": args.bp_alpha,
-            "bp_beta": args.bp_beta,
-            "gd_step": args.gd_step,
-            "curvature": list(args.curvature),
-        },
+        "config": {"kind": kind},
         "out": str(args.out),
         "n_points": len(trajectory),
         "dim": trajectory.dim,
@@ -141,15 +119,7 @@ def cmd_gamma2(args) -> dict:
         "n": len(trajectory),
         "rho": rho,
         "seed": args.seed,
-        "config": {
-            "input": str(args.input),
-            "rho": rho,
-            "iterations": args.iterations,
-            "restarts": args.restarts,
-            "step_scale": args.step_scale,
-            "ft_dtype": args.ft_dtype,
-            "seed": args.seed,
-        },
+        "config": {"rho": rho},
     }
 
 
@@ -168,11 +138,7 @@ def _tail_fit_dict(fit: exponents.TailFitResult) -> dict:
 def cmd_tail_fit(args) -> dict:
     trajectory = core.load_trajectory(args.input, args.has_header)
     fit = exponents.lower_tail_exponent_reciprocal(trajectory, x_min=args.x_min)
-    return {
-        "command": "tail-fit",
-        **_tail_fit_dict(fit),
-        "config": {"input": str(args.input), "x_min": args.x_min},
-    }
+    return {"command": "tail-fit", **_tail_fit_dict(fit)}
 
 
 def cmd_stable_index(args) -> dict:
@@ -195,20 +161,14 @@ def cmd_stable_index(args) -> dict:
         "per_block": list(result.per_block),
         "block_size": result.block_size,
         "n_zero_dropped": result.n_zero_dropped,
-        "config": {
-            "input": str(args.input),
-            "block_size": args.block_size,
-            "layer_sizes": list(args.layer_sizes) if args.layer_sizes else None,
-        },
     }
 
 
 def _write_curve(args, name: str, xs, ys, header: tuple[str, str]) -> None:
-    if args.out_dir is None:
+    path = _out_file(args, f"{name}.csv")
+    if path is None:
         return
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with (out / f"{name}.csv").open("w", newline="") as handle:
+    with path.open("w", newline="") as handle:
         handle.write(f"{header[0]},{header[1]}\n")
         for x, y in zip(xs, ys):
             handle.write(f"{x:.17g},{y:.17g}\n")
@@ -225,12 +185,6 @@ def cmd_ballmass(args) -> dict:
         "lags": list(lags),
         "mode": args.mode,
         "n_radii": len(grid),
-        "config": {
-            "input": str(args.input),
-            "lags": list(lags),
-            "mode": args.mode,
-            "window": [args.window[0], args.window[1]],
-        },
     }
     try:
         report["exponent"] = exponents.exponent_from_ball_mass(curve, window=tuple(args.window))
@@ -243,18 +197,9 @@ def cmd_ballmass(args) -> dict:
 
 def cmd_kfunction(args) -> dict:
     trajectory = core.load_trajectory(args.input, args.has_header)
-    from scipy.spatial.distance import pdist
-
-    dists = pdist(trajectory.points)
-    grid = _resolve_radii(args, dists)
+    grid = _resolve_radii(args, pdist(trajectory.points))
     curve = spatial.k_function(trajectory, grid)
-    report: dict = {
-        "command": "kfunction",
-        "n": curve.n,
-        "diameter": curve.diameter,
-        "n_radii": len(grid),
-        "config": {"input": str(args.input), "window": [args.window[0], args.window[1]]},
-    }
+    report: dict = {"command": "kfunction", "n": curve.n, "diameter": curve.diameter, "n_radii": len(grid)}
     try:
         report["slope"] = spatial.k_function_slope(curve, window=tuple(args.window))
     except DataError as exc:
@@ -266,15 +211,13 @@ def cmd_kfunction(args) -> dict:
 
 def cmd_cover(args) -> dict:
     trajectory = core.load_trajectory(args.input, args.has_header)
-    from scipy.spatial.distance import pdist
-
-    dists = pdist(trajectory.points) if len(trajectory) > 1 else np.array([1.0])
+    dists = pdist(trajectory.points)
     if args.radii_min is not None and args.radii_max is not None:
         grid = core.RadiusGrid.geometric(args.radii_min, args.radii_max, args.radii_num, rho=args.rho)
-    else:
-        levels = np.geomspace(args.level_lo, 1.0, args.radii_num)
-        radii = np.unique(np.quantile(dists[dists > 0], levels)) if np.any(dists > 0) else np.array([args.rho])
-        grid = core.RadiusGrid(radii, args.rho)
+    elif np.any(dists > 0):
+        grid = _quantile_grid(dists, args.level_lo, 1.0, args.radii_num, args.rho)
+    else:  # one point, or all points equal
+        grid = core.RadiusGrid(np.array([args.rho]), args.rho)
     profile = spatial.covering_numbers(trajectory, grid)
     _write_curve(args, "cover", grid.radii, profile.counts.astype(float), ("radius", "count"))
     return {
@@ -283,7 +226,6 @@ def cmd_cover(args) -> dict:
         "rho": args.rho,
         "counts": [int(c) for c in profile.counts],
         "radii": list(grid.radii),
-        "config": {"input": str(args.input), "rho": args.rho},
     }
 
 
@@ -315,37 +257,21 @@ def cmd_bound(args) -> dict:
             report["value"] = bounds_mod.theorem1_expectation_bound(inp)
         report["l_rho"] = inp.l_rho
         report["note"] = "up to the universal constant"
-        report["config"] = {
-            "loss_bound": args.loss_bound,
-            "lipschitz": args.lipschitz,
-            "rho": args.rho,
-            "n": args.n,
-            "delta": args.delta,
-            "gamma2": args.gamma2,
-            "mutual_info_inf": args.mutual_info_inf,
-            "mutual_info_1": args.mutual_info_1,
-            "k1": args.k1,
-            "k2": args.k2,
-        }
     elif args.form == "corollary1":
         report["value"] = bounds_mod.corollary1_bound(args.alpha, args.rho, args.c_rho)
-        report["config"] = {"alpha": args.alpha, "rho": args.rho, "c_rho": args.c_rho}
     elif args.form == "kernel":
         if args.curve is None:
             raise ValueError("--curve is required for the kernel functional")
         radii, masses = _load_mass_curve(args.curve)
         curve = exponents.BallMassCurve(core.RadiusGrid(radii, max(args.rho, radii[-1])), masses, (1,))
         report["value"] = bounds_mod.kernel_functional(curve, args.rho, args.dim)
-        report["config"] = {"curve": args.curve, "rho": args.rho, "dim": args.dim}
     elif args.form == "j-integral":
         report["value"] = bounds_mod.j_integral(args.a, args.horizon, args.rho, args.dim)
-        report["config"] = {"a": args.a, "horizon": args.horizon, "rho": args.rho, "dim": args.dim}
     else:  # gauss-check
         check = bounds_mod.gauss_radial_bounds_check(args.a, args.r, args.rho, args.dim)
         report.update(
             {"integral": check.integral, "lower": check.lower, "upper": check.upper, "holds": check.holds}
         )
-        report["config"] = {"a": args.a, "r": args.r, "rho": args.rho, "dim": args.dim}
     return report
 
 
@@ -369,12 +295,7 @@ def cmd_study(args) -> dict:
         "verdicts": dict(sorted(result.verdicts.items())),
         "diagnostics": {k: float(v) for k, v in sorted(result.diagnostics.items())},
         "seed": args.seed,
-        "config": {
-            "name": name,
-            "replicates": spec.resolved_replicates(),
-            "seed": args.seed,
-            "params": {k: _jsonable(v) for k, v in spec.resolved_params().items()},
-        },
+        "config": {"name": name, "replicates": spec.resolved_replicates(), "params": spec.resolved_params()},
     }
 
 
@@ -389,18 +310,7 @@ def cmd_analyze(args) -> dict:
         "dim": trajectory.dim,
         "rho": rho,
         "seed": args.seed,
-        "config": {
-            "input": str(args.input),
-            "rho": rho,
-            "window": args.window,
-            "normalize": bool(args.normalize),
-            "block_size": args.block_size,
-            "mass_window": [args.mass_window[0], args.mass_window[1]],
-            "iterations": args.iterations,
-            "restarts": args.restarts,
-            "step_scale": args.step_scale,
-            "seed": args.seed,
-        },
+        "config": {"rho": rho},
     }
 
     ft_input = trajectory
@@ -439,23 +349,16 @@ def cmd_analyze(args) -> dict:
     )
 
     def k_slope():
-        from scipy.spatial.distance import pdist
-
-        dists = pdist(trajectory.points)
-        grid = _quantile_grid(dists, args.level_lo, args.level_hi, args.radii_num)
+        grid = _quantile_grid(pdist(trajectory.points), args.level_lo, args.level_hi, args.radii_num)
         return spatial.k_function_slope(spatial.k_function(trajectory, grid))
 
     attempt("k_function_slope", k_slope)
 
     def dudley():
-        from scipy.spatial.distance import pdist
-
         dists = pdist(ft_input.points)
-        positive = dists[dists > 0]
-        if positive.size == 0:
+        if not np.any(dists > 0):
             return {"dudley_value": 0.0, "dominates": True}
-        radii = np.unique(np.quantile(positive, np.geomspace(0.01, 1.0, args.radii_num)))
-        profile = spatial.covering_numbers(ft_input, core.RadiusGrid(radii, rho))
+        profile = spatial.covering_numbers(ft_input, _quantile_grid(dists, 0.01, 1.0, args.radii_num, rho))
         dominates = spatial.dudley_dominates(est.value, profile)
         if not dominates:
             log.warning("entropy-integral diagnostic violated: gamma2=%.4f dudley=%.4f", est.value, profile.dudley_value)
@@ -474,43 +377,31 @@ def _parse_scalar(text: str):
     return text
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, args: argparse.Namespace, argv: list[str]) -> argparse.Namespace:
-    """Merge `key = value` lines under explicitly passed flags."""
-    pairs: dict[str, str] = {}
-    for line_no, line in enumerate(Path(args.config).read_text().splitlines(), start=1):
+def _with_config_file(argv: list[str]) -> list[str]:
+    """Insert a ``--config`` file's ``key = value`` lines as flags before the explicit ones.
+
+    argparse then resolves them with the explicit flags, so the last value wins
+    and a repeated ``param`` line appends.
+    """
+    pre = argparse.ArgumentParser(prog="trajtail", add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv[1:])[0].config
+    if path is None:
+        return argv
+    flags: list[str] = []
+    for line_no, line in enumerate(Path(path).read_text().splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            raise ValueError(f"{args.config}: line {line_no}: expected 'key = value'")
-        key, raw = stripped.split("=", 1)
-        pairs[key.strip().replace("-", "_")] = raw.strip()
-
-    sub_action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    subparser = sub_action.choices[args.subcommand]
-    converters: dict[str, object] = {}
-    boolean_flags: set[str] = set()
-    for action in subparser._actions:
-        if action.dest in ("help", argparse.SUPPRESS):
-            continue
-        converters[action.dest] = action.type
-        if isinstance(action, argparse._StoreTrueAction):
-            boolean_flags.add(action.dest)
-
-    explicit = {tok.split("=", 1)[0].lstrip("-").replace("-", "_") for tok in argv if tok.startswith("--")}
-    for key, raw in pairs.items():
-        if key in explicit:
-            continue
-        if key not in converters:
-            raise ValueError(f"{args.config}: unknown option {key!r}")
-        if key in boolean_flags:
-            value = raw.lower() in ("1", "true", "yes", "on")
-        elif converters[key] is not None:
-            value = converters[key](raw)
-        else:
-            value = raw
-        setattr(args, key, value)
-    return args
+            raise ValueError(f"{path}: line {line_no}: expected 'key = value'")
+        key, raw = (part.strip() for part in stripped.split("=", 1))
+        flag = "--" + key.replace("_", "-")
+        if key.replace("-", "_") not in _SWITCHES:
+            flags.append(f"{flag}={raw}")
+        elif raw.lower() in ("1", "true", "yes", "on"):
+            flags.append(flag)
+    return [argv[0], *flags, *argv[1:]]
 
 
 def _add_radii_flags(sub: argparse.ArgumentParser) -> None:
@@ -641,20 +532,22 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_with_config_file(argv))
+        logging.basicConfig(
+            level=logging.INFO if args.verbose else logging.WARNING,
+            stream=sys.stderr,
+            format="%(levelname)s %(name)s: %(message)s",
+        )
+        report = args.func(args)
+        recorded = {k: v for k, v in vars(args).items() if k not in _UNRECORDED}
+        report["config"] = {**recorded, **report.get("config", {})}
+        text = json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n"
+        path = _out_file(args, f"{report['command']}.json")
+        if path is not None:
+            path.write_text(text)
+        sys.stdout.write(text)
     except SystemExit as exc:
         return int(exc.code or 0)
-    logging.basicConfig(
-        level=logging.INFO if getattr(args, "verbose", False) else logging.WARNING,
-        stream=sys.stderr,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
-    try:
-        if getattr(args, "config", None):
-            args = _apply_config_file(parser, args, argv)
-        report = args.func(args)
-        _write_report(report, args, report["command"])
-        _print_report(report)
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -407,11 +407,18 @@ def emit_report(result: StudyResult, out_dir: str | Path) -> list[Path]:
     return paths
 
 
-def _jsonable(v):
-    if isinstance(v, (np.floating, float)):
-        return float(v)
-    if isinstance(v, (np.integer, int)):
-        return int(v)
-    if isinstance(v, (tuple, list)):
-        return [_jsonable(x) for x in v]
-    return v
+def _jsonable(obj):
+    """Plain JSON types for numpy scalars and arrays, tuples and nested containers."""
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (np.floating, float)):
+        return float(obj)
+    if isinstance(obj, (np.integer, int)):
+        return int(obj)
+    if isinstance(obj, np.ndarray):
+        return _jsonable(obj.tolist())
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(x) for x in obj]
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    return obj

@@ -98,6 +98,84 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "gamma2", "--input", str(walk_csv), "--config", str(cfg))
         assert code == 2
 
+    def test_abbreviated_explicit_flag_wins(self, capsys, walk_csv, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("rho = 0.5\niterations = 40\nrestarts = 1\n")
+        code, out, _ = run_cli(capsys, "gamma2", "--input", str(walk_csv), "--config", str(cfg), "--iter", "7")
+        assert code == 0
+        assert parse(out)["config"]["iterations"] == 7
+
+    def test_param_lines_append_and_explicit_param_wins(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("replicates = 1\nparam = steps=2000\nparam = dims=2\n")
+        code, out, err = run_cli(
+            capsys, "study", "--name", "gaussian-dimension", "--config", str(cfg), "--param", "steps=300"
+        )
+        assert code == 0, err
+        config = parse(out)["config"]
+        assert config["param"] == ["steps=2000", "dims=2", "steps=300"]
+        assert config["params"]["steps"] == 300 and config["params"]["dims"] == 2
+
+
+def _config_file_text(config: dict) -> str:
+    """A reported config as `key = value` lines: unset (null) flags left out,
+    lists joined by commas, one line per `param` override, and the study's
+    resolved `params` table left out because the `param` lines produce it."""
+    lines = []
+    for key, value in config.items():
+        if value is None or key == "params":
+            continue
+        if key == "param":
+            lines += [f"param = {item}" for item in value]
+        elif isinstance(value, bool):
+            lines.append(f"{key} = {str(value).lower()}")
+        elif isinstance(value, list):
+            lines.append(f"{key} = {','.join(str(x) for x in value)}")
+        else:
+            lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+_FT_SMALL = ("--iterations", "100", "--restarts", "1")
+_ROUND_TRIP = {
+    "simulate": ("simulate", "--kind", "beta-prime-walk", "--steps", "120", "--seed", "3", "--sigma", "1,0.5",
+                 "--out", "sim.csv"),
+    "gamma2": ("gamma2", "--input", "{walk}", "--loss-bound", "1", "--lipschitz", "4", "--seed", "7", *_FT_SMALL),
+    "tail-fit": ("tail-fit", "--input", "{walk}"),
+    "stable-index": ("stable-index", "--input", "{walk}", "--block-size", "5", "--layer-sizes", "1,1"),
+    "ballmass": ("ballmass", "--input", "{walk}", "--lags", "1,2", "--mode", "worst"),
+    "ballmass-radii-num": ("ballmass", "--input", "{walk}", "--radii-num", "16"),
+    "kfunction": ("kfunction", "--input", "{walk}", "--level-lo", "0.01", "--window", "0.02,0.2"),
+    "cover": ("cover", "--input", "{walk}", "--rho", "0.5", "--radii-num", "12"),
+    "bound-theorem1-prob": ("bound", "--form", "theorem1-prob", "--n", "1000", "--gamma2", "0.8",
+                            "--unbounded-loss-tail", "0.1"),
+    "bound-theorem1-exp": ("bound", "--form", "theorem1-exp", "--gamma2", "0.8", "--mutual-info-1", "0.3"),
+    "bound-corollary1": ("bound", "--form", "corollary1", "--alpha", "1", "--rho", "0.5", "--c-rho", "1"),
+    "bound-kernel": ("bound", "--form", "kernel", "--curve", "{curve}", "--rho", "1", "--dim", "2"),
+    "bound-j-integral": ("bound", "--form", "j-integral", "--a", "0.5", "--horizon", "1", "--rho", "0.5"),
+    "bound-gauss-check": ("bound", "--form", "gauss-check", "--a", "1", "--r", "0.5", "--rho", "1"),
+    "study": ("study", "--name", "gaussian-dimension", "--replicates", "1", "--seed", "4",
+              "--param", "steps=300", "--param", "dims=2"),
+    "analyze": ("analyze", "--input", "{walk}", "--rho", "0.25", "--normalize", *_FT_SMALL),
+    "analyze-float32": ("analyze", "--input", "{walk}", "--rho", "0.25", "--ft-dtype", "float32", *_FT_SMALL),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ROUND_TRIP))
+def test_reported_config_reproduces_report(case, capsys, walk_csv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    curve = tmp_path / "curve.csv"
+    curve.write_text("radius,mass\n" + "".join(f"{0.1 * k!r},1.0\n" for k in range(1, 11)))
+    argv = [a.format(walk=walk_csv, curve=curve) for a in _ROUND_TRIP[case]]
+    code, first, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    cfg = tmp_path / "recorded.cfg"
+    cfg.write_text(_config_file_text(parse(first)["config"]))
+    code, second, err = run_cli(capsys, argv[0], "--config", str(cfg))
+    assert code == 0, err
+    assert second == first
+
 
 class TestEstimatorCommands:
     def test_tail_fit(self, capsys, walk_csv):
@@ -138,6 +216,14 @@ class TestEstimatorCommands:
         doc = parse(out)
         assert doc["dudley_value"] >= 0.0
         assert doc["counts"] == sorted(doc["counts"], reverse=True)
+
+    def test_cover_single_point_uses_rho(self, capsys, tmp_path):
+        path = tmp_path / "one.csv"
+        path.write_text("0.5,0.5\n")
+        code, out, _ = run_cli(capsys, "cover", "--input", str(path), "--rho", "0.5")
+        assert code == 0
+        doc = parse(out)
+        assert doc["radii"] == [0.5] and doc["counts"] == [1] and doc["dudley_value"] == 0.0
 
 
 class TestBoundCommand:
