@@ -24,6 +24,7 @@ several restarts and keeps the best value seen across all of them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -159,19 +160,35 @@ def _as_points(w) -> np.ndarray:
     return pts
 
 
-def _anchor_integrals(order: np.ndarray, segments: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Unnormalized per-anchor integrals for one weight vector; shape (n,)."""
-    n = order.shape[0]
-    if n == 1:
-        return np.zeros(1, dtype=segments.dtype)
-    cum = np.take(p, order)
+def _leading_order(gram: TruncatedGram) -> np.ndarray:
+    """The sorted columns up to the last nonzero segment of any row.
+
+    Past that column every row sits on the ``rho`` plateau, so its segments
+    are zero and its cumulative masses add nothing to the integrals.
+    """
+    nonzero = np.flatnonzero(gram.segments.any(axis=0))
+    width = int(nonzero[-1]) + 1 if nonzero.size else 0
+    return np.ascontiguousarray(gram.order[:, :width])
+
+
+def _anchor_integrals(lead: np.ndarray, segments: np.ndarray, p: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Unnormalized per-anchor integrals for one weight vector; shape (n,).
+
+    ``lead`` is ``_leading_order`` of the Gram and ``scratch`` an (n, n) array
+    of ``p``'s dtype that is zero past ``lead``'s width.  Only the leading
+    columns are gathered and logged; the einsum still reads
+    ``scratch[:, :-1]``, the layout of the full computation, and the skipped
+    products are exactly zero, so the sums are the full ones bit for bit.
+    """
+    if segments.shape[1] == 0:
+        return np.zeros(segments.shape[0], dtype=segments.dtype)
+    cum = np.take(p, lead)
     np.cumsum(cum, axis=1, out=cum)
-    cum = cum[:, :-1]
     np.clip(cum, MASS_FLOOR, 1.0, out=cum)
     np.log(cum, out=cum)
     np.abs(cum, out=cum)
-    np.sqrt(cum, out=cum)
-    return np.einsum("ij,ij->i", segments, cum)
+    np.sqrt(cum, out=scratch[:, : lead.shape[1]])
+    return np.einsum("ij,ij->i", segments, scratch[:, :-1])
 
 
 def ft_objective(gram: TruncatedGram, weights: SimplexWeights | np.ndarray) -> float:
@@ -185,7 +202,8 @@ def ft_objective(gram: TruncatedGram, weights: SimplexWeights | np.ndarray) -> f
     p = weights.weights if isinstance(weights, SimplexWeights) else np.asarray(weights, dtype=np.float64)
     if p.shape != (gram.n,):
         raise ValueError(f"weights have length {p.shape}, gram has {gram.n} points")
-    vals = _anchor_integrals(gram.order, gram.segments, p.astype(np.float64))
+    scratch = np.zeros((gram.n, gram.n))
+    vals = _anchor_integrals(_leading_order(gram), gram.segments, p.astype(np.float64), scratch)
     return float(vals.max()) / gram.rho
 
 
@@ -195,12 +213,11 @@ def _row_subgradient(order_i: np.ndarray, segments_i: np.ndarray, p: np.ndarray,
     g = np.zeros(n)
     if n == 1:
         return g
-    c = np.cumsum(p[order_i])[:-1]
-    np.clip(c, MASS_FLOOR, 1.0 - 1e-12, out=c)
+    c = p[order_i].cumsum()[:-1]
+    np.minimum(np.maximum(c, MASS_FLOOR, out=c), 1.0 - 1e-12, out=c)
     phi_prime = -1.0 / (2.0 * c * np.sqrt(np.abs(np.log(c))))
     w = segments_i * phi_prime
-    suffix = np.cumsum(w[::-1])[::-1]
-    g[order_i[:-1]] = suffix
+    g[order_i[:-1]] = w[::-1].cumsum()[::-1]
     return g / rho
 
 
@@ -211,8 +228,10 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 def _minimize_restart(gram: TruncatedGram, z0: np.ndarray, options: SubgradientOptions):
     order = gram.order
+    lead = _leading_order(gram)
     seg64 = gram.segments
     seg = seg64.astype(np.float32) if options.dtype == "float32" else seg64
+    scratch = np.zeros((gram.n, gram.n), dtype=options.dtype)
     rho = gram.rho
     z = z0.astype(np.float64).copy()
     best_val = np.inf
@@ -221,8 +240,8 @@ def _minimize_restart(gram: TruncatedGram, z0: np.ndarray, options: SubgradientO
     for t in range(1, options.iterations + 2):
         p = _softmax(z)
         p_eval = p.astype(np.float32) if options.dtype == "float32" else p
-        vals = _anchor_integrals(order, seg, p_eval)
-        i_star = int(np.argmax(vals))
+        vals = _anchor_integrals(lead, seg, p_eval, scratch)
+        i_star = int(vals.argmax())
         obj = float(vals[i_star]) / rho
         trace[t - 1] = obj
         if obj < best_val:
@@ -232,10 +251,10 @@ def _minimize_restart(gram: TruncatedGram, z0: np.ndarray, options: SubgradientO
             break
         g = _row_subgradient(order[i_star], seg64[i_star], p, rho)
         gz = p * (g - float(p @ g))
-        norm = float(np.linalg.norm(gz))
+        norm = math.sqrt(gz.dot(gz))
         if norm > _STEP_NORM_CAP:
             gz *= _STEP_NORM_CAP / norm
-        z -= (options.step_scale / np.sqrt(t)) * gz
+        z -= (options.step_scale / math.sqrt(t)) * gz
         z -= z.max()
     return best_val, best_p, trace
 

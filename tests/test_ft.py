@@ -3,8 +3,10 @@ import pytest
 
 from trajtail.core import SimplexWeights, Trajectory
 from trajtail.ft import (
+    MASS_FLOOR,
     SubgradientOptions,
     TruncatedGram,
+    _leading_order,
     brute_force_gamma2,
     estimate_gamma2,
     ft_objective,
@@ -77,6 +79,22 @@ class TestFtObjective:
         for _ in range(5):
             w = rng.dirichlet(np.ones(3))
             assert ft_objective(g, w) == 0.0
+
+    def test_trimmed_columns_match_full_sum_bitwise(self, rng):
+        """Skipping the columns past every row's last nonzero segment changes no bit."""
+        trimmed = 0
+        for trial in range(40):
+            n = int(rng.integers(2, 120))
+            pts = random_points(rng, n, dim=int(rng.integers(1, 4)))
+            if trial % 4 == 0:
+                pts[n // 2 :] = pts[0]
+            g = TruncatedGram.from_points(pts, float(rng.uniform(0.02, 0.6)))
+            trimmed += _leading_order(g).shape[1] < n - 1
+            p = rng.dirichlet(np.full(n, 0.3))
+            cum = np.cumsum(p[g.order], axis=1)[:, :-1]
+            full = np.einsum("ij,ij->i", g.segments, np.sqrt(np.abs(np.log(np.clip(cum, MASS_FLOOR, 1.0)))))
+            assert ft_objective(g, p) == float(full.max()) / g.rho
+        assert trimmed >= 20
 
     def test_weight_length_mismatch(self):
         g = TruncatedGram.from_points(np.zeros((2, 1)), 1.0)
