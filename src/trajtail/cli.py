@@ -47,6 +47,13 @@ def _csv_floats(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.split(","))
 
 
+def _float_pair(text: str) -> tuple[float, float]:
+    values = _csv_floats(text)
+    if len(values) != 2:
+        raise argparse.ArgumentTypeError(f"expected two comma-separated numbers, got {text!r}")
+    return values
+
+
 def _csv_ints(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
 
@@ -187,7 +194,7 @@ def cmd_ballmass(args) -> dict:
         "n_radii": len(grid),
     }
     try:
-        report["exponent"] = exponents.exponent_from_ball_mass(curve, window=tuple(args.window))
+        report["exponent"] = exponents.exponent_from_ball_mass(curve, window=args.window)
     except DataError as exc:
         report["exponent"] = None
         report["exponent_error"] = str(exc)
@@ -201,7 +208,7 @@ def cmd_kfunction(args) -> dict:
     curve = spatial.k_function(trajectory, grid)
     report: dict = {"command": "kfunction", "n": curve.n, "diameter": curve.diameter, "n_radii": len(grid)}
     try:
-        report["slope"] = spatial.k_function_slope(curve, window=tuple(args.window))
+        report["slope"] = spatial.k_function_slope(curve, window=args.window)
     except DataError as exc:
         report["slope"] = None
         report["slope_error"] = str(exc)
@@ -340,7 +347,7 @@ def cmd_analyze(args) -> dict:
     def ball_exponent():
         grid = _quantile_grid(norms, args.level_lo, args.level_hi, args.radii_num)
         curve = exponents.ball_mass_curve(trajectory, (1,), grid)
-        return exponents.exponent_from_ball_mass(curve, window=tuple(args.mass_window))
+        return exponents.exponent_from_ball_mass(curve, window=args.mass_window)
 
     attempt("ball_mass_exponent", ball_exponent)
     attempt(
@@ -404,12 +411,18 @@ def _with_config_file(argv: list[str]) -> list[str]:
     return [argv[0], *flags, *argv[1:]]
 
 
-def _add_radii_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--radii-min", type=float, default=None)
-    sub.add_argument("--radii-max", type=float, default=None)
-    sub.add_argument("--radii-num", type=int, default=48)
-    sub.add_argument("--level-lo", type=float, default=0.002)
-    sub.add_argument("--level-hi", type=float, default=0.5)
+_RADII_FLAGS = {
+    "--radii-min": {"type": float, "default": None},
+    "--radii-max": {"type": float, "default": None},
+    "--radii-num": {"type": int, "default": 48},
+    "--level-lo": {"type": float, "default": 0.002},
+    "--level-hi": {"type": float, "default": 0.5},
+}
+
+
+def _add_radii_flags(sub: argparse.ArgumentParser, flags: tuple[str, ...] = tuple(_RADII_FLAGS)) -> None:
+    for flag in flags:
+        sub.add_argument(flag, **_RADII_FLAGS[flag])
 
 
 def _add_ft_flags(sub: argparse.ArgumentParser) -> None:
@@ -461,20 +474,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("ballmass", help="empirical kernel ball-mass curve")
     sub.add_argument("--lags", type=_csv_ints, default=(1,))
     sub.add_argument("--mode", choices=("average", "worst"), default="average")
-    sub.add_argument("--window", type=_csv_floats, default=(0.01, 0.2))
+    sub.add_argument("--window", type=_float_pair, default=(0.01, 0.2))
     _add_radii_flags(sub)
     _common_flags(sub, needs_input=True)
     sub.set_defaults(func=cmd_ballmass)
 
     sub = subs.add_parser("kfunction", help="spatial K-function curve and slope")
-    sub.add_argument("--window", type=_csv_floats, default=(0.005, 0.1))
+    sub.add_argument("--window", type=_float_pair, default=(0.005, 0.1))
     _add_radii_flags(sub)
     _common_flags(sub, needs_input=True)
     sub.set_defaults(func=cmd_kfunction)
 
     sub = subs.add_parser("cover", help="greedy covering numbers and entropy integral")
     sub.add_argument("--rho", type=float, default=1.0)
-    _add_radii_flags(sub)
+    _add_radii_flags(sub, ("--radii-min", "--radii-max", "--radii-num", "--level-lo"))
     _common_flags(sub, needs_input=True)
     sub.set_defaults(func=cmd_cover)
 
@@ -518,10 +531,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--window", type=int, default=200, help="trailing iterate count (0 keeps all)")
     sub.add_argument("--normalize", action="store_true")
     sub.add_argument("--block-size", type=int, default=10)
-    sub.add_argument("--mass-window", type=_csv_floats, default=(0.01, 0.2))
+    sub.add_argument("--mass-window", type=_float_pair, default=(0.01, 0.2))
     sub.add_argument("--seed", type=int, default=0)
     _add_ft_flags(sub)
-    _add_radii_flags(sub)
+    _add_radii_flags(sub, ("--radii-num", "--level-lo", "--level-hi"))
     _common_flags(sub, needs_input=True)
     sub.set_defaults(func=cmd_analyze)
 

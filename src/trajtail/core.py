@@ -13,6 +13,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
+    DegenerateDataError,
     EmptyInputError,
     TrajectoryFormatError,
     TrajectoryParseError,
@@ -195,11 +196,11 @@ class RadiusGrid:
         vals = np.asarray(values, dtype=np.float64)
         vals = vals[vals > 0]
         if vals.size == 0:
-            raise ValueError("no positive values to take quantiles of")
+            raise DegenerateDataError("no positive values to take quantiles of")
         radii = np.unique(np.quantile(vals, np.asarray(levels)))
         radii = radii[radii > 0]
         if radii.size == 0:
-            raise ValueError("quantile grid collapsed to zero radii")
+            raise DegenerateDataError("quantile grid collapsed to zero radii")
         return cls(radii, float(radii[-1]) if rho is None else rho)
 
 

@@ -10,6 +10,9 @@ measure the inner integral is a finite sum over the segments between
 consecutive sorted distances: the segment starting at the j-th sorted
 distance carries the cumulative mass of the j+1 nearest atoms, and the
 trailing segment up to ``rho`` carries mass one and contributes nothing.
+``TruncatedGram`` stores the sorted layout only up to the last column in
+which any row still has a positive segment: past it every row sits on the
+``rho`` plateau, so every later segment is exactly zero and adds nothing.
 
 ``estimate_gamma2`` minimizes the objective with a projected subgradient
 method in softmax coordinates; ``brute_force_gamma2`` is an exhaustive
@@ -29,6 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.spatial.distance import pdist, squareform
 
 from .core import Seed, SimplexWeights, Trajectory
 
@@ -67,12 +71,18 @@ def resolve_rho(rho: float | None, loss_bound: float | None = None, lipschitz: f
 
 @dataclass(frozen=True)
 class TruncatedGram:
-    """Pairwise truncated distances with per-row ascending sort.
+    """Pairwise truncated distances with the leading columns of each row's sort.
 
-    ``entries[i, j] = min(rho, |w_i - w_j|)``; ``order[i]`` is the stable
-    permutation sorting row i ascending (ties keep index order, so duplicate
-    points produce zero-length segments that contribute nothing) and
-    ``segments[i, j] = sorted[i, j+1] - sorted[i, j]``.
+    ``entries[i, j] = min(rho, |w_i - w_j|)``, shape ``(n, n)``.  ``order[i]``
+    begins the stable permutation sorting row i ascending (ties keep index
+    order, so duplicate points produce zero-length segments that contribute
+    nothing); ``sorted_entries`` holds the sorted values and ``segments[i, j]
+    = sorted_entries[i, j+1] - sorted_entries[i, j]``.  ``order`` and
+    ``sorted_entries`` keep ``w + 1`` columns and ``segments`` ``w``, where
+    ``w`` is one past the last column in which any row has a positive
+    segment: later columns of the full sort are constant along every row
+    (at ``rho`` or the row's largest distance), so their segments are
+    exactly zero and no integral needs them.
     """
 
     entries: np.ndarray
@@ -86,18 +96,18 @@ class TruncatedGram:
         if not rho > 0:
             raise ValueError(f"rho must be positive, got {rho}")
         pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim != 2:
-            raise ValueError("points must be a 2-d array")
+        if pts.ndim != 2 or pts.shape[0] == 0:
+            raise ValueError("points must be a nonempty 2-d array")
         if not np.all(np.isfinite(pts)):
             raise ValueError("points contain non-finite coordinates")
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        np.fill_diagonal(dist, 0.0)
+        dist = squareform(pdist(pts))
         np.minimum(dist, rho, out=dist)
-        order = np.argsort(dist, axis=1, kind="stable").astype(np.intp)
+        order = np.argsort(dist, axis=1, kind="stable")
         sorted_entries = np.take_along_axis(dist, order, axis=1)
-        segments = sorted_entries[:, 1:] - sorted_entries[:, :-1]
-        return cls(dist, float(rho), sorted_entries, order, segments)
+        nonzero = np.flatnonzero(np.diff(sorted_entries, axis=1).any(axis=0))
+        keep = int(nonzero[-1]) + 2 if nonzero.size else 1  # w + 1 sorted columns
+        sorted_entries = sorted_entries[:, :keep].copy()
+        return cls(dist, float(rho), sorted_entries, order[:, :keep].copy(), np.diff(sorted_entries, axis=1))
 
     @property
     def n(self) -> int:
@@ -160,35 +170,19 @@ def _as_points(w) -> np.ndarray:
     return pts
 
 
-def _leading_order(gram: TruncatedGram) -> np.ndarray:
-    """The sorted columns up to the last nonzero segment of any row.
-
-    Past that column every row sits on the ``rho`` plateau, so its segments
-    are zero and its cumulative masses add nothing to the integrals.
-    """
-    nonzero = np.flatnonzero(gram.segments.any(axis=0))
-    width = int(nonzero[-1]) + 1 if nonzero.size else 0
-    return np.ascontiguousarray(gram.order[:, :width])
-
-
-def _anchor_integrals(lead: np.ndarray, segments: np.ndarray, p: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+def _anchor_integrals(order: np.ndarray, segments: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Unnormalized per-anchor integrals for one weight vector; shape (n,).
 
-    ``lead`` is ``_leading_order`` of the Gram and ``scratch`` an (n, n) array
-    of ``p``'s dtype that is zero past ``lead``'s width.  Only the leading
-    columns are gathered and logged; the einsum still reads
-    ``scratch[:, :-1]``, the layout of the full computation, and the skipped
-    products are exactly zero, so the sums are the full ones bit for bit.
+    ``order`` and ``segments`` are a ``TruncatedGram``'s stored columns; the
+    cumulative masses are computed in ``p``'s dtype.
     """
-    if segments.shape[1] == 0:
-        return np.zeros(segments.shape[0], dtype=segments.dtype)
-    cum = np.take(p, lead)
+    cum = np.take(p, order[:, :-1])
     np.cumsum(cum, axis=1, out=cum)
     np.clip(cum, MASS_FLOOR, 1.0, out=cum)
     np.log(cum, out=cum)
     np.abs(cum, out=cum)
-    np.sqrt(cum, out=scratch[:, : lead.shape[1]])
-    return np.einsum("ij,ij->i", segments, scratch[:, :-1])
+    np.sqrt(cum, out=cum)
+    return np.einsum("ij,ij->i", segments, cum)
 
 
 def ft_objective(gram: TruncatedGram, weights: SimplexWeights | np.ndarray) -> float:
@@ -202,8 +196,7 @@ def ft_objective(gram: TruncatedGram, weights: SimplexWeights | np.ndarray) -> f
     p = weights.weights if isinstance(weights, SimplexWeights) else np.asarray(weights, dtype=np.float64)
     if p.shape != (gram.n,):
         raise ValueError(f"weights have length {p.shape}, gram has {gram.n} points")
-    scratch = np.zeros((gram.n, gram.n))
-    vals = _anchor_integrals(_leading_order(gram), gram.segments, p.astype(np.float64), scratch)
+    vals = _anchor_integrals(gram.order, gram.segments, p.astype(np.float64))
     return float(vals.max()) / gram.rho
 
 
@@ -228,10 +221,8 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 def _minimize_restart(gram: TruncatedGram, z0: np.ndarray, options: SubgradientOptions):
     order = gram.order
-    lead = _leading_order(gram)
     seg64 = gram.segments
     seg = seg64.astype(np.float32) if options.dtype == "float32" else seg64
-    scratch = np.zeros((gram.n, gram.n), dtype=options.dtype)
     rho = gram.rho
     z = z0.astype(np.float64).copy()
     best_val = np.inf
@@ -240,7 +231,7 @@ def _minimize_restart(gram: TruncatedGram, z0: np.ndarray, options: SubgradientO
     for t in range(1, options.iterations + 2):
         p = _softmax(z)
         p_eval = p.astype(np.float32) if options.dtype == "float32" else p
-        vals = _anchor_integrals(lead, seg, p_eval, scratch)
+        vals = _anchor_integrals(order, seg, p_eval)
         i_star = int(vals.argmax())
         obj = float(vals[i_star]) / rho
         trace[t - 1] = obj
@@ -271,7 +262,8 @@ def estimate_gamma2(
 
     Returns the better of the optimized weights and uniform weights, so the
     estimate never exceeds the uniform-weights objective (and hence never
-    exceeds ``sqrt(log n)``).
+    exceeds ``sqrt(log n)``).  The value is the float64 ``ft_objective`` of
+    the returned weights, also when the descent evaluates in float32.
     """
     options = options or DEFAULT_OPTIONS
     pts = _as_points(w)
@@ -295,9 +287,11 @@ def estimate_gamma2(
         if val < best_val:
             best_val, best_p, best_trace = val, p, trace
 
-    if best_p is None or uniform_val <= best_val:
+    best = uniform if best_p is None else SimplexWeights(best_p)
+    best_val = ft_objective(gram, best)
+    if uniform_val <= best_val:
         return FtEstimate(uniform_val, uniform, best_trace, "uniform")
-    return FtEstimate(best_val, SimplexWeights(best_p), best_trace, "subgradient")
+    return FtEstimate(best_val, best, best_trace, "subgradient")
 
 
 def _concat_aranges(lengths: np.ndarray) -> np.ndarray:

@@ -45,6 +45,18 @@ class TestExitCodes:
         assert code == 2
         assert "argument error" in err
 
+    def test_window_with_three_values_rejected_at_parse(self, capsys, tmp_path):
+        # the input is never read: a missing file would exit 1
+        code, _, err = run_cli(
+            capsys, "ballmass", "--input", str(tmp_path / "nope.csv"), "--window", "0.01,0.1,0.2"
+        )
+        assert code == 2
+        assert "--window" in err
+
+    def test_unread_radii_flags_not_accepted(self, capsys, walk_csv):
+        assert run_cli(capsys, "analyze", "--input", str(walk_csv), "--radii-min", "0.5")[0] == 2
+        assert run_cli(capsys, "cover", "--input", str(walk_csv), "--level-hi", "0.5")[0] == 2
+
     def test_insufficient_data_is_data_error(self, capsys, tmp_path):
         path = tmp_path / "tiny.csv"
         path.write_text("0,0\n1,1\n2,2\n")
@@ -292,6 +304,18 @@ class TestAnalyze:
             assert key in doc
         assert doc["n"] == 201  # trailing window of 200 steps
         assert doc["config"]["rho"] == 0.25
+
+    def test_all_equal_points(self, capsys, tmp_path):
+        path = tmp_path / "equal.csv"
+        path.write_text("1,2\n1,2\n1,2\n")
+        code, _, err = run_cli(capsys, "kfunction", "--input", str(path))
+        assert code == 1 and "no positive values" in err
+        code, out, _ = run_cli(capsys, "analyze", "--input", str(path), *_FT_SMALL)
+        assert code == 0
+        doc = parse(out)
+        for key in ("ball_mass_exponent", "k_function_slope"):
+            assert doc[key] is None
+            assert "no positive values" in doc[f"{key}_error"]
 
     def test_window_override(self, capsys, walk_csv):
         code, out, _ = run_cli(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from trajtail.ft import (
     MASS_FLOOR,
     SubgradientOptions,
     TruncatedGram,
-    _leading_order,
     brute_force_gamma2,
     estimate_gamma2,
     ft_objective,
@@ -64,6 +65,18 @@ class TestTruncatedGram:
         with pytest.raises(ValueError):
             TruncatedGram.from_points(random_points(rng, 3), 0.0)
 
+    def test_build_memory_is_quadratic_not_cubic(self, rng):
+        """The build never holds an n*n*D difference tensor: peak stays O(n^2)."""
+        n, dim = 150, 2000
+        pts = rng.standard_normal((n, dim))
+        tracemalloc.start()
+        try:
+            TruncatedGram.from_points(pts, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * n * n * 8, f"Gram build peaked at {peak} bytes"
+
 
 class TestFtObjective:
     def test_single_atom_is_zero(self):
@@ -81,7 +94,15 @@ class TestFtObjective:
             assert ft_objective(g, w) == 0.0
 
     def test_trimmed_columns_match_full_sum_bitwise(self, rng):
-        """Skipping the columns past every row's last nonzero segment changes no bit."""
+        """The stored columns are the leading columns of the full sort, bit for bit.
+
+        The reference sorts ``entries`` row by row (stable) and diffs at full
+        width.  The stored ``order``, ``sorted_entries`` and ``segments`` must
+        equal its leading columns, every segment it drops must be exactly
+        zero, and ``ft_objective`` must equal the einsum over the stored
+        layout.  Most of the sets (a quarter with duplicate points) must
+        actually be trimmed.
+        """
         trimmed = 0
         for trial in range(40):
             n = int(rng.integers(2, 120))
@@ -89,11 +110,19 @@ class TestFtObjective:
             if trial % 4 == 0:
                 pts[n // 2 :] = pts[0]
             g = TruncatedGram.from_points(pts, float(rng.uniform(0.02, 0.6)))
-            trimmed += _leading_order(g).shape[1] < n - 1
+            order = np.argsort(g.entries, axis=1, kind="stable")
+            sorted_entries = np.take_along_axis(g.entries, order, axis=1)
+            segments = np.diff(sorted_entries, axis=1)
+            w = g.segments.shape[1]
+            np.testing.assert_array_equal(g.order, order[:, : w + 1])
+            np.testing.assert_array_equal(g.sorted_entries, sorted_entries[:, : w + 1])
+            np.testing.assert_array_equal(g.segments, segments[:, :w])
+            assert np.all(segments[:, w:] == 0.0)
+            trimmed += w < n - 1
             p = rng.dirichlet(np.full(n, 0.3))
             cum = np.cumsum(p[g.order], axis=1)[:, :-1]
-            full = np.einsum("ij,ij->i", g.segments, np.sqrt(np.abs(np.log(np.clip(cum, MASS_FLOOR, 1.0)))))
-            assert ft_objective(g, p) == float(full.max()) / g.rho
+            stored = np.einsum("ij,ij->i", g.segments, np.sqrt(np.abs(np.log(np.clip(cum, MASS_FLOOR, 1.0)))))
+            assert ft_objective(g, p) == float(stored.max()) / g.rho
         assert trimmed >= 20
 
     def test_weight_length_mismatch(self):
@@ -219,6 +248,21 @@ class TestEstimateGamma2:
         a = estimate_gamma2(pts, 1.0, options=opts)
         b = estimate_gamma2(pts[perm], 1.0, options=opts)
         assert abs(a.value - b.value) <= 1e-9
+
+    def test_value_is_float64_objective_of_weights(self, rng):
+        """The reported value is exactly ``ft_objective`` of the reported weights, in both dtypes."""
+        wins = {"float64": 0, "float32": 0}
+        for trial in range(6):
+            n = int(rng.integers(20, 80))
+            pts = random_points(rng, n)
+            g = TruncatedGram.from_points(pts, 0.5)
+            for dtype in wins:
+                opts = SubgradientOptions(iterations=150, restarts=2, seed=trial, dtype=dtype)
+                est = estimate_gamma2(pts, 0.5, options=opts)
+                if est.method == "subgradient":
+                    wins[dtype] += 1
+                    assert est.value == ft_objective(g, est.weights), dtype
+        assert min(wins.values()) >= 3, wins
 
     def test_deterministic_given_seed(self, rng):
         pts = random_points(rng, 8)
