@@ -73,7 +73,7 @@ def _quantile_grid(values: np.ndarray, lo: float, hi: float, num: int, rho: floa
 
 
 def _resolve_radii(args, values: np.ndarray) -> core.RadiusGrid:
-    if args.radii_min is not None and args.radii_max is not None:
+    if args.radii_min is not None:
         return core.RadiusGrid.geometric(args.radii_min, args.radii_max, args.radii_num)
     return _quantile_grid(values, args.level_lo, args.level_hi, args.radii_num)
 
@@ -219,7 +219,7 @@ def cmd_kfunction(args) -> dict:
 def cmd_cover(args) -> dict:
     trajectory = core.load_trajectory(args.input, args.has_header)
     dists = pdist(trajectory.points)
-    if args.radii_min is not None and args.radii_max is not None:
+    if args.radii_min is not None:
         grid = core.RadiusGrid.geometric(args.radii_min, args.radii_max, args.radii_num, rho=args.rho)
     elif np.any(dists > 0):
         grid = _quantile_grid(dists, args.level_lo, 1.0, args.radii_num, args.rho)
@@ -289,7 +289,7 @@ def cmd_study(args) -> dict:
         if "=" not in item:
             raise ValueError(f"--param expects KEY=VALUE, got {item!r}")
         key, raw = item.split("=", 1)
-        params[key.strip()] = _parse_scalar(raw.strip())
+        params[key.strip()] = raw.strip()
     spec = StudySpec(name, replicates=args.replicates, seed=args.seed, params=params)
     result = run_study(spec, threads=args.threads)
     out_dir = Path(args.out_dir) if args.out_dir is not None else Path(".")
@@ -373,15 +373,6 @@ def cmd_analyze(args) -> dict:
 
     attempt("covering", dudley)
     return report
-
-
-def _parse_scalar(text: str):
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    return text
 
 
 def _with_config_file(argv: list[str]) -> list[str]:
@@ -546,6 +537,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(_with_config_file(argv))
+        if (getattr(args, "radii_min", None) is None) != (getattr(args, "radii_max", None) is None):
+            parser.error("--radii-min and --radii-max must be given together")
         logging.basicConfig(
             level=logging.INFO if args.verbose else logging.WARNING,
             stream=sys.stderr,

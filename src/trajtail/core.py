@@ -208,8 +208,8 @@ def load_trajectory(path: str | Path, has_header: bool = False) -> Trajectory:
     """Read a trajectory from CSV: one iterate per row, D numeric columns.
 
     Raises :class:`TrajectoryFormatError` on ragged rows (naming the line),
-    :class:`TrajectoryParseError` on non-numeric cells and
-    :class:`EmptyInputError` when no data rows remain.
+    :class:`TrajectoryParseError` on non-numeric or non-finite cells (naming
+    the line) and :class:`EmptyInputError` when no data rows remain.
     """
     path = Path(path)
     rows: list[list[float]] = []
@@ -233,7 +233,13 @@ def load_trajectory(path: str | Path, has_header: bool = False) -> Trajectory:
                 raise TrajectoryParseError(f"{path}: line {line_no}: {exc}") from None
     if not rows:
         raise EmptyInputError(f"{path}: no data rows")
-    return Trajectory(np.asarray(rows))
+    points = np.asarray(rows)
+    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+    if bad.size:
+        # blank rows raise above, so data row i sits on line i + 1 after any header
+        line_no = int(bad[0]) + 1 + int(has_header)
+        raise TrajectoryParseError(f"{path}: line {line_no}: non-finite coordinate")
+    return Trajectory(points)
 
 
 def save_trajectory(trajectory: Trajectory, path: str | Path) -> Path:
@@ -281,6 +287,11 @@ def normalize_by_running_std(trajectory: Trajectory, ddof: int = 0) -> RunningSt
     by ``k + 1``; ``ddof=1`` uses the sample convention.  Scaling starts at the
     first index where every varying coordinate has positive prefix std; a
     fully constant trajectory is returned unscaled with all axes flagged.
+
+    The prefix sums run on the iterates centered at the first one: variance is
+    shift-invariant, and a prefix that contains the center has mean square at
+    most ``k + 2`` times its variance, so ``E[x^2] - E[x]^2`` keeps its
+    precision however far the iterates sit from the origin.
     """
     if len(trajectory) < 2:
         raise ValueError("running-std normalization needs at least 2 points")
@@ -289,8 +300,9 @@ def normalize_by_running_std(trajectory: Trajectory, ddof: int = 0) -> RunningSt
     pts = trajectory.points
     n, dim = pts.shape
     counts = np.arange(1, n + 1, dtype=np.float64)[:, None]
-    cum = np.cumsum(pts, axis=0)
-    cum2 = np.cumsum(pts * pts, axis=0)
+    centered = pts - pts[0]
+    cum = np.cumsum(centered, axis=0)
+    cum2 = np.cumsum(centered * centered, axis=0)
     var = cum2 / counts - (cum / counts) ** 2
     if ddof == 1:
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -33,13 +33,6 @@ __all__ = ["STUDIES", "StudySpec", "CurveStats", "StudyResult", "run_study", "em
 
 log = logging.getLogger(__name__)
 
-STUDIES = (
-    "figure1_ordering",
-    "appendix_c_curve",
-    "gaussian_dimension",
-    "exponent_comparison",
-)
-
 _DEFAULT_REPLICATES = {
     "figure1_ordering": 100,
     "appendix_c_curve": 100,
@@ -89,10 +82,39 @@ _DEFAULT_PARAMS: dict[str, dict[str, Any]] = {
     },
 }
 
+STUDIES = tuple(_DEFAULT_PARAMS)
+
+
+def _typed(key: str, value: Any, default: Any) -> Any:
+    """``value`` as the type of the study default it overrides.
+
+    Strings are parsed; other values must convert without change (no float
+    truncates into an int).  A tuple default takes a comma-separated string,
+    a sequence or one value, converted element by element.
+    """
+    if isinstance(default, tuple):
+        if isinstance(value, str):
+            value = value.split(",")
+        elif np.ndim(value) == 0:
+            value = (value,)
+        if len(value) == 0:
+            raise ValueError(f"parameter {key!r} needs at least one value")
+        return tuple(_typed(key, item, default[0]) for item in value)
+    try:
+        typed = type(default)(value)
+        if isinstance(value, str) or typed == value:
+            return typed
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"parameter {key!r} expects {type(default).__name__}, got {value!r}")
+
 
 @dataclass(frozen=True)
 class StudySpec:
-    """One study configuration; ``params`` override the study defaults."""
+    """One study configuration; ``params`` override the study defaults.
+
+    Each override is converted once, to the type of the default it replaces.
+    """
 
     study: str
     replicates: int | None = None
@@ -102,17 +124,20 @@ class StudySpec:
     def __post_init__(self):
         if self.study not in STUDIES:
             raise ValueError(f"unknown study {self.study!r}; choose from {STUDIES}")
-        unknown = set(self.params) - set(_DEFAULT_PARAMS[self.study])
+        defaults = _DEFAULT_PARAMS[self.study]
+        unknown = set(self.params) - set(defaults)
         if unknown:
             raise ValueError(f"unknown parameters for {self.study}: {sorted(unknown)}")
         if self.replicates is not None and self.replicates < 1:
             raise ValueError("replicates must be >= 1")
+        typed = {key: _typed(key, value, defaults[key]) for key, value in self.params.items()}
+        object.__setattr__(self, "params", typed)
 
     def resolved_replicates(self) -> int:
         return self.replicates if self.replicates is not None else _DEFAULT_REPLICATES[self.study]
 
     def resolved_params(self) -> dict[str, Any]:
-        return {**_DEFAULT_PARAMS[self.study], **dict(self.params)}
+        return {**_DEFAULT_PARAMS[self.study], **self.params}
 
 
 @dataclass(frozen=True)
@@ -128,7 +153,6 @@ class CurveStats:
 
 @dataclass(frozen=True)
 class StudyResult:
-    study: str
     spec: StudySpec
     grid: tuple
     grid_label: str
@@ -136,7 +160,6 @@ class StudyResult:
     raw: dict[str, np.ndarray]
     verdicts: dict[str, bool]
     diagnostics: dict[str, float]
-    seed: int
     runtime_seconds: float
 
 
@@ -181,16 +204,6 @@ def _r_squared(x: np.ndarray, y: np.ndarray) -> float:
     return float(1.0 - (resid**2).sum() / total) if total > 0 else 1.0
 
 
-def _ft_options(params: Mapping[str, Any], seed: int) -> SubgradientOptions:
-    return SubgradientOptions(
-        iterations=int(params["ft_iterations"]),
-        restarts=int(params["ft_restarts"]),
-        step_scale=float(params["ft_step_scale"]),
-        seed=seed,
-        dtype=str(params["ft_dtype"]),
-    )
-
-
 def _normalize(trajectory, mode: str):
     """Variance normalization for the functional studies.
 
@@ -209,82 +222,65 @@ def _normalize(trajectory, mode: str):
     return Trajectory(trajectory.points / np.where(sd > 0, sd, 1.0))
 
 
+def _gamma2(process: ProcessSpec, seed: Seed, params: Mapping[str, Any]) -> dict[str, float]:
+    """Functional of one normalized simulated walk: the body of both functional cells."""
+    walk = _normalize(simulate(process), params["normalization"])
+    options = SubgradientOptions(
+        iterations=params["ft_iterations"],
+        restarts=params["ft_restarts"],
+        step_scale=params["ft_step_scale"],
+        seed=seed.spawn(1).base,
+        dtype=params["ft_dtype"],
+    )
+    return {"gamma2": estimate_gamma2(walk, rho=params["rho"], options=options).value}
+
+
 def _cell_figure1(arm: str, seed: Seed, params: Mapping[str, Any]) -> dict[str, float]:
-    sim_seed = seed.spawn(0).base
-    opt_seed = seed.spawn(1).base
-    if arm == "stable":
-        spec = ProcessSpec(
-            "stable_levy_walk",
-            dim=int(params["dim"]),
-            steps=int(params["steps"]),
-            seed=sim_seed,
-            stable_alpha=float(params["stable_alpha"]),
-        )
-    else:
-        spec = ProcessSpec("gaussian_walk", dim=int(params["dim"]), steps=int(params["steps"]), seed=sim_seed)
-    walk = _normalize(simulate(spec), str(params["normalization"]))
-    est = estimate_gamma2(walk, rho=float(params["rho"]), options=_ft_options(params, opt_seed))
-    return {"gamma2": est.value}
+    kind = "stable_levy_walk" if arm == "stable" else "gaussian_walk"
+    process = ProcessSpec(kind, params["dim"], params["steps"], seed.spawn(0).base, stable_alpha=params["stable_alpha"])
+    return _gamma2(process, seed, params)
 
 
 def _cell_appendix_c(alpha: float, seed: Seed, params: Mapping[str, Any]) -> dict[str, float]:
-    sim_seed = seed.spawn(0).base
-    opt_seed = seed.spawn(1).base
-    spec = ProcessSpec(
-        "beta_prime_walk",
-        dim=2,
-        steps=int(params["steps"]),
-        seed=sim_seed,
-        bp_alpha=float(alpha),
-        bp_beta=float(params["beta"]),
+    process = ProcessSpec(
+        "beta_prime_walk", 2, params["steps"], seed.spawn(0).base, bp_alpha=alpha, bp_beta=params["beta"]
     )
-    walk = _normalize(simulate(spec), str(params["normalization"]))
-    est = estimate_gamma2(walk, rho=float(params["rho"]), options=_ft_options(params, opt_seed))
-    return {"gamma2": est.value}
+    return _gamma2(process, seed, params)
 
 
 def _cell_gaussian_dimension(dim: int, seed: Seed, params: Mapping[str, Any]) -> dict[str, float]:
-    spec = ProcessSpec("gaussian_walk", dim=int(dim), steps=int(params["steps"]), seed=seed.spawn(0).base)
-    walk = simulate(spec)
+    walk = simulate(ProcessSpec("gaussian_walk", dim, params["steps"], seed.spawn(0).base))
     norms = increments(walk, 1).norms()
-    levels = np.geomspace(float(params["level_lo"]), float(params["level_hi"]), int(params["n_radii"]))
+    levels = np.geomspace(params["level_lo"], params["level_hi"], params["n_radii"])
     grid = RadiusGrid.from_quantiles(norms, levels)
     curve = ball_mass_curve(walk, (1,), grid)
-    alpha = exponent_from_ball_mass(curve, window=(float(params["mass_lo"]), float(params["mass_hi"])))
-    return {"alpha_hat": alpha}
+    return {"alpha_hat": exponent_from_ball_mass(curve, window=(params["mass_lo"], params["mass_hi"]))}
 
 
 def _cell_exponent_comparison(alpha_s: float, seed: Seed, params: Mapping[str, Any]) -> dict[str, float]:
-    spec = ProcessSpec(
-        "stable_levy_walk",
-        dim=int(params["dim"]),
-        steps=int(params["steps"]),
-        seed=seed.spawn(0).base,
-        stable_alpha=float(alpha_s),
+    walk = simulate(
+        ProcessSpec("stable_levy_walk", params["dim"], params["steps"], seed.spawn(0).base, stable_alpha=alpha_s)
     )
-    walk = simulate(spec)
     lower = lower_tail_exponent_reciprocal(walk).alpha_survival
-    stable = stable_index(increments(walk, 1).deltas.ravel(), int(params["block_size"])).alpha_hat
+    stable = stable_index(increments(walk, 1).deltas.ravel(), params["block_size"]).alpha_hat
     return {"alpha_lower_tail": lower, "alpha_stable": stable}
 
 
-def _as_tuple(value) -> tuple:
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return tuple(value)
-    return (value,)
-
-
 def _study_plan(spec: StudySpec):
+    """Grid, grid label, cell function and parameters of a study.
+
+    Cells are looked up as module globals per call, so a wrapper set on the
+    module attribute (as the span tracer does) sees every cell.
+    """
     p = spec.resolved_params()
     if spec.study == "figure1_ordering":
         return ("stable", "gaussian"), "process", _cell_figure1, p
     if spec.study == "appendix_c_curve":
-        grid = tuple(np.geomspace(float(p["alpha_lo"]), float(p["alpha_hi"]), int(p["alpha_points"])))
+        grid = tuple(np.geomspace(p["alpha_lo"], p["alpha_hi"], p["alpha_points"]))
         return grid, "bp_alpha", _cell_appendix_c, p
     if spec.study == "gaussian_dimension":
-        return tuple(int(d) for d in _as_tuple(p["dims"])), "dim", _cell_gaussian_dimension, p
-    grid = tuple(float(a) for a in _as_tuple(p["stable_alphas"]))
-    return grid, "stable_alpha", _cell_exponent_comparison, p
+        return p["dims"], "dim", _cell_gaussian_dimension, p
+    return p["stable_alphas"], "stable_alpha", _cell_exponent_comparison, p
 
 
 def _verdicts(study: str, grid, stats: dict[str, CurveStats]):
@@ -349,9 +345,7 @@ def run_study(spec: StudySpec, threads: int = 1) -> StudyResult:
     verdicts, diagnostics = _verdicts(spec.study, grid, stats)
     runtime = time.perf_counter() - start
     log.info("study %s finished in %.1fs; verdicts=%s", spec.study, runtime, verdicts)
-    return StudyResult(
-        spec.study, spec, grid, grid_label, stats, raw, verdicts, diagnostics, spec.seed, runtime
-    )
+    return StudyResult(spec, grid, grid_label, stats, raw, verdicts, diagnostics, runtime)
 
 
 def _fmt(x) -> str:
@@ -368,13 +362,14 @@ def emit_report(result: StudyResult, out_dir: str | Path) -> list[Path]:
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    spec = result.spec
     summary = {
-        "study": result.study,
+        "study": spec.study,
         "spec": {
-            "study": result.spec.study,
-            "replicates": result.spec.resolved_replicates(),
-            "seed": result.spec.seed,
-            "params": {k: _jsonable(v) for k, v in result.spec.resolved_params().items()},
+            "study": spec.study,
+            "replicates": spec.resolved_replicates(),
+            "seed": spec.seed,
+            "params": {k: _jsonable(v) for k, v in spec.resolved_params().items()},
         },
         "grid_label": result.grid_label,
         "grid": [_jsonable(g) for g in result.grid],
@@ -388,16 +383,16 @@ def emit_report(result: StudyResult, out_dir: str | Path) -> list[Path]:
         },
         "verdicts": dict(sorted(result.verdicts.items())),
         "diagnostics": {k: float(v) for k, v in sorted(result.diagnostics.items())},
-        "seed": result.seed,
+        "seed": spec.seed,
         "runtime_seconds": None,
     }
     paths = []
-    json_path = out_dir / f"{result.study}.json"
+    json_path = out_dir / f"{spec.study}.json"
     json_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     paths.append(json_path)
     single = len(result.stats) == 1
     for name, s in sorted(result.stats.items()):
-        csv_path = out_dir / (f"{result.study}.csv" if single else f"{result.study}_{name}.csv")
+        csv_path = out_dir / (f"{spec.study}.csv" if single else f"{spec.study}_{name}.csv")
         with csv_path.open("w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["grid_value", "mean", "lo95", "hi95"])

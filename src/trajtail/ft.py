@@ -157,19 +157,6 @@ class SubgradientOptions:
 DEFAULT_OPTIONS = SubgradientOptions()
 
 
-def _as_points(w) -> np.ndarray:
-    if isinstance(w, Trajectory):
-        return w.points
-    pts = np.asarray(w, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.size == 0:
-        raise ValueError("point set must be nonempty")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("points contain non-finite coordinates")
-    return pts
-
-
 def _anchor_integrals(order: np.ndarray, segments: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Unnormalized per-anchor integrals for one weight vector; shape (n,).
 
@@ -266,7 +253,7 @@ def estimate_gamma2(
     the returned weights, also when the descent evaluates in float32.
     """
     options = options or DEFAULT_OPTIONS
-    pts = _as_points(w)
+    pts = w.points if isinstance(w, Trajectory) else Trajectory(w).points
     rho = resolve_rho(rho, loss_bound, lipschitz)
     n = pts.shape[0]
     if n == 1:
@@ -329,7 +316,7 @@ def brute_force_gamma2(w, rho: float | None = None, grid_resolution: int = 200) 
     convention of :func:`ft_objective`.  Only feasible for very small point
     sets; refuses n > 6.
     """
-    pts = _as_points(w)
+    pts = w.points if isinstance(w, Trajectory) else Trajectory(w).points
     n = pts.shape[0]
     if n > BRUTE_FORCE_MAX_POINTS:
         raise ValueError(f"brute force supports at most {BRUTE_FORCE_MAX_POINTS} points, got {n}")

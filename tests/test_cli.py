@@ -57,6 +57,25 @@ class TestExitCodes:
         assert run_cli(capsys, "analyze", "--input", str(walk_csv), "--radii-min", "0.5")[0] == 2
         assert run_cli(capsys, "cover", "--input", str(walk_csv), "--level-hi", "0.5")[0] == 2
 
+    @pytest.mark.parametrize("argv", [("ballmass", "--radii-min", "0.5"), ("cover", "--radii-max", "3")])
+    def test_half_given_radii_rejected(self, capsys, walk_csv, argv):
+        code, _, err = run_cli(capsys, *argv, "--input", str(walk_csv))
+        assert code == 2
+        assert "--radii-min" in err and "--radii-max" in err
+
+    @pytest.mark.parametrize("command", ["gamma2", "tail-fit"])
+    def test_non_finite_cell_is_data_error(self, capsys, tmp_path, command):
+        path = tmp_path / "nan.csv"
+        path.write_text("0,0\n1,nan\n2,2\n")
+        code, _, err = run_cli(capsys, command, "--input", str(path))
+        assert code == 1
+        assert "line 2" in err and "argument error" not in err
+
+    def test_unconvertible_study_param_names_key(self, capsys):
+        code, _, err = run_cli(capsys, "study", "--name", "gaussian-dimension", "--param", "steps=abc")
+        assert code == 2
+        assert "'steps'" in err
+
     def test_insufficient_data_is_data_error(self, capsys, tmp_path):
         path = tmp_path / "tiny.csv"
         path.write_text("0,0\n1,1\n2,2\n")
@@ -127,7 +146,7 @@ class TestConfigFile:
         assert code == 0, err
         config = parse(out)["config"]
         assert config["param"] == ["steps=2000", "dims=2", "steps=300"]
-        assert config["params"]["steps"] == 300 and config["params"]["dims"] == 2
+        assert config["params"]["steps"] == 300 and config["params"]["dims"] == [2]
 
 
 def _config_file_text(config: dict) -> str:
@@ -282,6 +301,21 @@ class TestStudyCommand:
         doc = parse(out)
         assert (tmp_path / "gaussian_dimension.json").exists()
         assert doc["config"]["params"]["steps"] == 2000
+
+    @pytest.mark.parametrize(
+        "name, param, recorded",
+        [("exponent-comparison", "stable_alphas=1.2,1.8", [1.2, 1.8]), ("gaussian-dimension", "dims=1,2", [1, 2])],
+    )
+    def test_tuple_param_from_comma_list(self, capsys, tmp_path, name, param, recorded):
+        code, out, err = run_cli(
+            capsys, "study", "--name", name, "--replicates", "1", "--param", "steps=300", "--param", param,
+            "--out-dir", str(tmp_path),
+        )
+        assert code == 0, err
+        key = param.split("=")[0]
+        assert parse(out)["config"]["params"][key] == recorded
+        summary = json.loads((tmp_path / f"{name.replace('-', '_')}.json").read_text())
+        assert summary["grid"] == recorded
 
 
 class TestAnalyze:

@@ -1,3 +1,5 @@
+import statistics
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,6 +57,15 @@ class TestLoadSave:
         path.write_text("1,2\n3,x\n")
         with pytest.raises(TrajectoryParseError, match="line 2"):
             load_trajectory(path)
+
+    @pytest.mark.parametrize(
+        "text, has_header, line", [("1,2\n3,nan\n", False, 2), ("x,y\n1,2\n0,0\n-inf,1\n", True, 4)]
+    )
+    def test_non_finite_cell_names_line(self, tmp_path, text, has_header, line):
+        path = tmp_path / "f.csv"
+        path.write_text(text)
+        with pytest.raises(TrajectoryParseError, match=f"line {line}: non-finite"):
+            load_trajectory(path, has_header=has_header)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "e.csv"
@@ -184,6 +195,26 @@ class TestNormalizeByRunningStd:
         res = normalize_by_running_std(Trajectory(pts))
         assert res.degenerate_axes == (1,)
         np.testing.assert_array_equal(res.trajectory.points[:, 1], pts[:, 1])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 40),
+        dim=st.integers(1, 2),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        offset=st.floats(min_value=-1e12, max_value=1e12),
+    )
+    def test_prefix_std_exact_under_large_offsets(self, seed, n, dim, scale, offset):
+        pts = scale * np.cumsum(np.random.default_rng(seed).standard_normal((n, dim)), axis=0) + offset
+        res = normalize_by_running_std(Trajectory(pts))
+        ref_sd = np.sqrt([[statistics.pvariance(pts[: k + 1, a]) for a in range(dim)] for k in range(n)])
+        varying = ref_sd[-1] > 0
+        assert res.degenerate_axes == tuple(np.flatnonzero(~varying))
+        if varying.any():
+            k0 = int(np.argmax(np.all(ref_sd[:, varying] > 0, axis=1)))
+            assert res.first_scaled_index == k0
+            scaled = res.trajectory.points[k0:, varying]
+            np.testing.assert_allclose(scaled * ref_sd[k0:, varying], pts[k0:, varying], rtol=1e-10, atol=0)
 
     def test_needs_two_points(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from trajtail import experiments
 from trajtail.experiments import StudySpec, emit_report, run_study
 
 TINY_GD = StudySpec("gaussian_dimension", replicates=3, seed=21, params={"steps": 3000, "dims": (1, 2)})
@@ -20,6 +21,32 @@ class TestStudySpec:
     def test_replicates_positive(self):
         with pytest.raises(ValueError):
             StudySpec("gaussian_dimension", replicates=0)
+
+    def test_overrides_take_the_default_type(self):
+        params = StudySpec(
+            "appendix_c_curve", params={"steps": "60", "beta": 3, "alpha_hi": "0.5", "normalization": "running"}
+        ).resolved_params()
+        assert params["steps"] == 60 and isinstance(params["steps"], int)
+        assert params["beta"] == 3.0 and isinstance(params["beta"], float)
+        assert params["alpha_hi"] == 0.5 and params["normalization"] == "running"
+        assert StudySpec("gaussian_dimension", params={"dims": "1, 2"}).resolved_params()["dims"] == (1, 2)
+        assert StudySpec("gaussian_dimension", params={"dims": 2}).resolved_params()["dims"] == (2,)
+        alphas = StudySpec("exponent_comparison", params={"stable_alphas": [1.2, "1.8"]}).resolved_params()
+        assert alphas["stable_alphas"] == (1.2, 1.8)
+
+    @pytest.mark.parametrize(
+        "study, key, value",
+        [
+            ("gaussian_dimension", "steps", "abc"),
+            ("gaussian_dimension", "steps", 2.5),
+            ("gaussian_dimension", "dims", "1,x"),
+            ("gaussian_dimension", "dims", ()),
+            ("figure1_ordering", "normalization", 1),
+        ],
+    )
+    def test_unconvertible_override_names_key(self, study, key, value):
+        with pytest.raises(ValueError, match=repr(key)):
+            StudySpec(study, params={key: value})
 
     def test_defaults_resolved(self):
         spec = StudySpec("appendix_c_curve")
@@ -73,6 +100,27 @@ class TestRunStudy:
         res = run_study(spec)
         assert len(res.grid) == 3
         assert "spearman" in res.diagnostics and "r2_log_alpha" in res.diagnostics
+
+
+def test_each_cell_is_one_call_through_a_cell_attribute(monkeypatch):
+    """The benchmark's span tracer wraps every ``experiments._cell_*`` module
+    attribute and records one span per call; a study must look the cells up
+    there at run time and make exactly one such call per cell."""
+    calls = []
+    for name in [a for a in vars(experiments) if a.startswith("_cell_")]:
+        def counted(*args, _fn=getattr(experiments, name), **kwargs):
+            calls.append(1)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, name, counted)
+    specs = (
+        StudySpec("figure1_ordering", replicates=2, seed=1, params={"steps": 40, "ft_iterations": 5}),
+        StudySpec("appendix_c_curve", replicates=2, seed=1, params={"alpha_points": 3, "ft_iterations": 5}),
+    )
+    for spec in specs:
+        calls.clear()
+        res = run_study(spec, threads=2)
+        assert len(calls) == len(res.grid) * spec.resolved_replicates()
 
 
 class TestEmitReport:
