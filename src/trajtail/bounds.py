@@ -11,7 +11,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import ConvergenceError, DegenerateDataError
 from .exponents import BallMassCurve
@@ -123,6 +122,13 @@ def kernel_functional(curve: BallMassCurve, rho: float, dim: int) -> float:
     return float(np.trapezoid(eval_f, eval_r) / rho)
 
 
+def _quad(func, a: float, b: float, **kwargs) -> tuple[float, float]:
+    """``scipy.integrate.quad``, imported on first use: only the bound commands integrate."""
+    from scipy import integrate
+
+    return integrate.quad(func, a, b, **kwargs)
+
+
 def _inner_v_integral(b_times_s: float, dim: int) -> float:
     """integral_0^1 v^(dim/2 - 1) exp(-b_times_s * v) dv by adaptive quadrature.
 
@@ -132,11 +138,11 @@ def _inner_v_integral(b_times_s: float, dim: int) -> float:
     """
     if dim < 2:
         p = 2.0 / dim
-        val, _ = integrate.quad(
+        val, _ = _quad(
             lambda u: np.exp(-b_times_s * u**p), 0.0, 1.0, epsabs=1e-15, epsrel=1e-11, limit=200
         )
         return (2.0 / dim) * val
-    val, _ = integrate.quad(
+    val, _ = _quad(
         lambda v: np.exp(-b_times_s * v),
         0.0,
         1.0,
@@ -173,7 +179,7 @@ def j_integral(a: float, horizon: float, rho: float, dim: int, rel_tol: float = 
         raise ValueError(f"dim must be >= 1, got {dim}")
     b = a * rho * rho
     exponent = dim / 2.0 - 2.0
-    value, err = integrate.quad(
+    value, err = _quad(
         lambda s: s**exponent * _inner_v_integral(b * s, dim),
         1.0 / horizon,
         np.inf,
@@ -212,7 +218,7 @@ def gauss_radial_bounds_check(a: float, r: float, rho: float, dim: int, slack: f
         raise ValueError(f"r must not exceed rho, got r={r} > rho={rho}")
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    radial, _ = integrate.quad(
+    radial, _ = _quad(
         lambda u: u ** (dim - 1) * np.exp(-a * u * u), 0.0, r, epsabs=1e-14, epsrel=1e-12, limit=200
     )
     i_rho = _inner_v_integral(a * rho * rho, dim)

@@ -108,7 +108,6 @@ def _ft_options(args) -> ft.SubgradientOptions:
     return ft.SubgradientOptions(
         iterations=args.iterations,
         restarts=args.restarts,
-        step_scale=args.step_scale,
         seed=args.seed,
         dtype=args.ft_dtype,
     )
@@ -417,9 +416,8 @@ def _add_radii_flags(sub: argparse.ArgumentParser, flags: tuple[str, ...] = tupl
 
 
 def _add_ft_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--iterations", type=int, default=2000)
-    sub.add_argument("--restarts", type=int, default=5)
-    sub.add_argument("--step-scale", type=float, default=0.5)
+    sub.add_argument("--iterations", type=int, default=200)
+    sub.add_argument("--restarts", type=int, default=1)
     sub.add_argument("--ft-dtype", choices=("float64", "float32"), default="float64")
 
 

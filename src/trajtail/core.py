@@ -15,6 +15,7 @@ import numpy as np
 from .errors import (
     DegenerateDataError,
     EmptyInputError,
+    InsufficientDataError,
     TrajectoryFormatError,
     TrajectoryParseError,
 )
@@ -256,7 +257,7 @@ def increments(trajectory: Trajectory, lag: int = 1) -> IncrementSeries:
     if lag < 1:
         raise ValueError(f"lag must be a positive integer, got {lag}")
     if lag >= len(trajectory):
-        raise ValueError(f"lag {lag} must be smaller than trajectory length {len(trajectory)}")
+        raise InsufficientDataError(f"lag {lag} must be smaller than trajectory length {len(trajectory)}")
     pts = trajectory.points
     return IncrementSeries(pts[lag:] - pts[:-lag], lag)
 

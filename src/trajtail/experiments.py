@@ -47,9 +47,8 @@ _DEFAULT_PARAMS: dict[str, dict[str, Any]] = {
         "stable_alpha": 1.5,
         "rho": 1.0,
         "normalization": "full",
-        "ft_iterations": 200,
+        "ft_iterations": 50,
         "ft_restarts": 1,
-        "ft_step_scale": 5.0,
         "ft_dtype": "float32",
     },
     "appendix_c_curve": {
@@ -60,9 +59,8 @@ _DEFAULT_PARAMS: dict[str, dict[str, Any]] = {
         "steps": 100,
         "rho": 0.25,
         "normalization": "full",
-        "ft_iterations": 1000,
+        "ft_iterations": 300,
         "ft_restarts": 1,
-        "ft_step_scale": 5.0,
         "ft_dtype": "float64",
     },
     "gaussian_dimension": {
@@ -228,7 +226,6 @@ def _gamma2(process: ProcessSpec, seed: Seed, params: Mapping[str, Any]) -> dict
     options = SubgradientOptions(
         iterations=params["ft_iterations"],
         restarts=params["ft_restarts"],
-        step_scale=params["ft_step_scale"],
         seed=seed.spawn(1).base,
         dtype=params["ft_dtype"],
     )

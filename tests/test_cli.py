@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import trajtail
 from trajtail.cli import main
 
 
@@ -82,6 +87,24 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "tail-fit", "--input", str(path))
         assert code == 1
         assert "error" in err
+
+
+    @pytest.mark.parametrize("command", ["analyze", "ballmass", "stable-index"])
+    def test_one_row_is_data_error(self, capsys, tmp_path, command):
+        path = tmp_path / "one.csv"
+        path.write_text("1,2\n")
+        code, _, err = run_cli(capsys, command, "--input", str(path))
+        assert code == 1
+        assert "trajectory length 1" in err and "argument error" not in err
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    """Only the bound calculators integrate, so importing the CLI must not load the quadrature."""
+    src = str(Path(trajtail.__file__).resolve().parents[1])
+    probe = "import sys, trajtail.cli; print('scipy.integrate' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True).stdout
+    assert out.strip() == "False"
 
 
 class TestGamma2Command:

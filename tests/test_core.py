@@ -15,7 +15,7 @@ from trajtail.core import (
     normalize_by_running_std,
     save_trajectory,
 )
-from trajtail.errors import EmptyInputError, TrajectoryFormatError, TrajectoryParseError
+from trajtail.errors import EmptyInputError, InsufficientDataError, TrajectoryFormatError, TrajectoryParseError
 from trajtail.simulate import ProcessSpec, simulate
 
 finite_coords = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False, allow_infinity=False)
@@ -132,7 +132,7 @@ class TestIncrements:
 
     def test_lag_too_large(self):
         t = Trajectory(np.zeros((3, 1)))
-        with pytest.raises(ValueError):
+        with pytest.raises(InsufficientDataError):
             increments(t, 3)
 
     def test_lag_positive(self):
