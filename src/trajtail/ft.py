@@ -259,7 +259,7 @@ def _minimize_restart(gram: TruncatedGram, z0: np.ndarray, options: SubgradientO
     enters the trace, and the best iterate is returned.
     """
     work = _Workspace(gram, options.dtype)
-    z = z0.astype(np.float64).copy()
+    z = z0.astype(np.float64)
     best_val = np.inf
     best_p = None
     iterations = options.iterations
