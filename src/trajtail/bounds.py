@@ -26,6 +26,10 @@ __all__ = [
     "gauss_radial_bounds_check",
 ]
 
+# j_integral's relative error budget: the quadrature must estimate its error below this.
+J_REL_TOL = 1e-6
+GAUSS_CHECK_SLACK = 1e-10
+
 
 @dataclass(frozen=True)
 class BoundInputs:
@@ -155,7 +159,7 @@ def _inner_v_integral(b_times_s: float, dim: int) -> float:
     return val
 
 
-def j_integral(a: float, horizon: float, rho: float, dim: int, rel_tol: float = 1e-6) -> float:
+def j_integral(a: float, horizon: float, rho: float, dim: int) -> float:
     """Nested adaptive quadrature of the double integral
 
         (1/T) * int_0^1 int_{1/T}^inf v^(D/2-1) s^(D/2-2) exp(-a s v rho^2) ds dv
@@ -184,14 +188,14 @@ def j_integral(a: float, horizon: float, rho: float, dim: int, rel_tol: float = 
         1.0 / horizon,
         np.inf,
         epsabs=0.0,
-        epsrel=rel_tol / 4.0,
+        epsrel=J_REL_TOL / 4.0,
         limit=400,
     )
     value /= horizon
     err /= horizon
-    if not np.isfinite(value) or err > rel_tol * abs(value):
+    if not np.isfinite(value) or err > J_REL_TOL * abs(value):
         raise ConvergenceError(
-            f"quadrature error estimate {err:.3e} exceeds {rel_tol:.0e} * |J|", partial=value
+            f"quadrature error estimate {err:.3e} exceeds {J_REL_TOL:.0e} * |J|", partial=value
         )
     return float(value)
 
@@ -206,11 +210,11 @@ class GaussRadialBounds:
     holds: bool
 
 
-def gauss_radial_bounds_check(a: float, r: float, rho: float, dim: int, slack: float = 1e-10) -> GaussRadialBounds:
+def gauss_radial_bounds_check(a: float, r: float, rho: float, dim: int) -> GaussRadialBounds:
     """Verify (r^D / 2) * I_rho(a, D) <= int_0^r u^(D-1) e^(-a u^2) du <= r^D / D.
 
     The radial integral and I_rho are both computed by adaptive quadrature;
-    ``holds`` allows ``slack`` of absolute tolerance on each side.
+    ``holds`` allows ``GAUSS_CHECK_SLACK`` of absolute tolerance on each side.
     """
     if not (a > 0 and r > 0 and rho > 0):
         raise ValueError("a, r and rho must be positive")
@@ -224,5 +228,5 @@ def gauss_radial_bounds_check(a: float, r: float, rho: float, dim: int, slack: f
     i_rho = _inner_v_integral(a * rho * rho, dim)
     lower = r**dim / 2.0 * i_rho
     upper = r**dim / dim
-    holds = (lower <= radial + slack) and (radial <= upper + slack)
+    holds = (lower <= radial + GAUSS_CHECK_SLACK) and (radial <= upper + GAUSS_CHECK_SLACK)
     return GaussRadialBounds(float(radial), float(lower), float(upper), bool(holds))

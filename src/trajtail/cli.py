@@ -20,7 +20,7 @@ from scipy.spatial.distance import pdist
 
 from . import bounds as bounds_mod
 from . import core, exponents, ft, spatial
-from .errors import DataError
+from .errors import DataError, TrajectoryFormatError
 from .experiments import STUDIES, StudySpec, _jsonable, emit_report, run_study
 from .simulate import PROCESS_KINDS, ProcessSpec, simulate
 
@@ -85,12 +85,12 @@ def cmd_simulate(args) -> dict:
         dim=args.dim,
         steps=args.steps,
         seed=args.seed,
-        sigma=args.sigma if len(args.sigma) > 1 else args.sigma[0],
+        sigma=args.sigma,
         stable_alpha=args.stable_alpha,
         bp_alpha=args.bp_alpha,
         bp_beta=args.bp_beta,
         gd_step=args.gd_step,
-        curvature=args.curvature if len(args.curvature) > 1 else args.curvature[0],
+        curvature=args.curvature,
     )
     trajectory = simulate(spec)
     core.save_trajectory(trajectory, args.out)
@@ -180,6 +180,15 @@ def _write_curve(args, name: str, xs, ys, header: tuple[str, str]) -> None:
             handle.write(f"{x:.17g},{y:.17g}\n")
 
 
+def _attempt(report: dict, key: str, fn) -> None:
+    """Store ``fn()`` under ``key``; a data failure stores null there and its message under ``key_error``."""
+    try:
+        report[key] = fn()
+    except DataError as exc:
+        report[key] = None
+        report[f"{key}_error"] = str(exc)
+
+
 def cmd_ballmass(args) -> dict:
     trajectory = core.load_trajectory(args.input, args.has_header)
     lags = args.lags
@@ -192,11 +201,7 @@ def cmd_ballmass(args) -> dict:
         "mode": args.mode,
         "n_radii": len(grid),
     }
-    try:
-        report["exponent"] = exponents.exponent_from_ball_mass(curve, window=args.window)
-    except DataError as exc:
-        report["exponent"] = None
-        report["exponent_error"] = str(exc)
+    _attempt(report, "exponent", lambda: exponents.exponent_from_ball_mass(curve, window=args.window))
     _write_curve(args, "ballmass", grid.radii, curve.masses, ("radius", "mass"))
     return report
 
@@ -206,11 +211,7 @@ def cmd_kfunction(args) -> dict:
     grid = _resolve_radii(args, pdist(trajectory.points))
     curve = spatial.k_function(trajectory, grid)
     report: dict = {"command": "kfunction", "n": curve.n, "diameter": curve.diameter, "n_radii": len(grid)}
-    try:
-        report["slope"] = spatial.k_function_slope(curve, window=args.window)
-    except DataError as exc:
-        report["slope"] = None
-        report["slope_error"] = str(exc)
+    _attempt(report, "slope", lambda: spatial.k_function_slope(curve, window=args.window))
     _write_curve(args, "kfunction", grid.radii, curve.values, ("radius", "k_value"))
     return report
 
@@ -235,9 +236,16 @@ def cmd_cover(args) -> dict:
     }
 
 
-def _load_mass_curve(path: str) -> tuple[np.ndarray, np.ndarray]:
-    rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return rows[:, 0], rows[:, 1]
+def _load_mass_curve(path: str, rho: float) -> exponents.BallMassCurve:
+    """The curve in a ``radius,mass`` CSV; a file that holds no valid curve is a data error."""
+    rows = core.load_trajectory(path, has_header=True).points
+    if rows.shape[1] != 2:
+        raise TrajectoryFormatError(f"{path}: expected 2 columns (radius,mass), got {rows.shape[1]}")
+    try:
+        grid = core.RadiusGrid(rows[:, 0], max(rho, rows[-1, 0]))
+        return exponents.BallMassCurve(grid, rows[:, 1], (1,))
+    except ValueError as exc:
+        raise TrajectoryFormatError(f"{path}: {exc}") from None
 
 
 def cmd_bound(args) -> dict:
@@ -268,9 +276,7 @@ def cmd_bound(args) -> dict:
     elif args.form == "kernel":
         if args.curve is None:
             raise ValueError("--curve is required for the kernel functional")
-        radii, masses = _load_mass_curve(args.curve)
-        curve = exponents.BallMassCurve(core.RadiusGrid(radii, max(args.rho, radii[-1])), masses, (1,))
-        report["value"] = bounds_mod.kernel_functional(curve, args.rho, args.dim)
+        report["value"] = bounds_mod.kernel_functional(_load_mass_curve(args.curve, args.rho), args.rho, args.dim)
     elif args.form == "j-integral":
         report["value"] = bounds_mod.j_integral(args.a, args.horizon, args.rho, args.dim)
     else:  # gauss-check
@@ -301,7 +307,7 @@ def cmd_study(args) -> dict:
         "verdicts": dict(sorted(result.verdicts.items())),
         "diagnostics": {k: float(v) for k, v in sorted(result.diagnostics.items())},
         "seed": args.seed,
-        "config": {"name": name, "replicates": spec.resolved_replicates(), "params": spec.resolved_params()},
+        "config": {"name": name, "replicates": spec.resolved_replicates()},
     }
 
 
@@ -326,20 +332,15 @@ def cmd_analyze(args) -> dict:
         report["normalization"] = {
             "first_scaled_index": norm.first_scaled_index,
             "degenerate_axes": list(norm.degenerate_axes),
-            "convention": norm.convention,
+            "convention": "population",
         }
     est = ft.estimate_gamma2(ft_input, rho, options=_ft_options(args))
     report["gamma2"] = est.value
     report["gamma2_method"] = est.method
 
-    def attempt(key, fn):
-        try:
-            report[key] = fn()
-        except DataError as exc:
-            report[key] = None
-            report[f"{key}_error"] = str(exc)
-
-    attempt("reciprocal_power_law", lambda: _tail_fit_dict(exponents.lower_tail_exponent_reciprocal(trajectory)))
+    _attempt(
+        report, "reciprocal_power_law", lambda: _tail_fit_dict(exponents.lower_tail_exponent_reciprocal(trajectory))
+    )
 
     norms = core.increments(trajectory, 1).norms()
 
@@ -348,8 +349,9 @@ def cmd_analyze(args) -> dict:
         curve = exponents.ball_mass_curve(trajectory, (1,), grid)
         return exponents.exponent_from_ball_mass(curve, window=args.mass_window)
 
-    attempt("ball_mass_exponent", ball_exponent)
-    attempt(
+    _attempt(report, "ball_mass_exponent", ball_exponent)
+    _attempt(
+        report,
         "stable_index",
         lambda: exponents.stable_index(core.increments(trajectory, 1).deltas.ravel(), args.block_size).alpha_hat,
     )
@@ -358,7 +360,7 @@ def cmd_analyze(args) -> dict:
         grid = _quantile_grid(pdist(trajectory.points), args.level_lo, args.level_hi, args.radii_num)
         return spatial.k_function_slope(spatial.k_function(trajectory, grid))
 
-    attempt("k_function_slope", k_slope)
+    _attempt(report, "k_function_slope", k_slope)
 
     def dudley():
         dists = pdist(ft_input.points)
@@ -370,7 +372,7 @@ def cmd_analyze(args) -> dict:
             log.warning("entropy-integral diagnostic violated: gamma2=%.4f dudley=%.4f", est.value, profile.dudley_value)
         return {"dudley_value": profile.dudley_value, "dominates": dominates}
 
-    attempt("covering", dudley)
+    _attempt(report, "covering", dudley)
     return report
 
 
@@ -416,9 +418,9 @@ def _add_radii_flags(sub: argparse.ArgumentParser, flags: tuple[str, ...] = tupl
 
 
 def _add_ft_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--iterations", type=int, default=200)
-    sub.add_argument("--restarts", type=int, default=1)
-    sub.add_argument("--ft-dtype", choices=("float64", "float32"), default="float64")
+    sub.add_argument("--iterations", type=int, default=ft.DEFAULT_OPTIONS.iterations)
+    sub.add_argument("--restarts", type=int, default=ft.DEFAULT_OPTIONS.restarts)
+    sub.add_argument("--ft-dtype", choices=("float64", "float32"), default=ft.DEFAULT_OPTIONS.dtype)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -431,12 +433,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--steps", type=int, default=1000)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", required=True, help="output trajectory CSV")
-    sub.add_argument("--sigma", type=_csv_floats, default=(1.0,))
-    sub.add_argument("--stable-alpha", type=float, default=1.5)
-    sub.add_argument("--bp-alpha", type=float, default=0.5)
-    sub.add_argument("--bp-beta", type=float, default=3.5)
-    sub.add_argument("--gd-step", type=float, default=0.1)
-    sub.add_argument("--curvature", type=_csv_floats, default=(1.0,))
+    sub.add_argument("--sigma", type=_csv_floats, default=ProcessSpec.sigma)
+    sub.add_argument("--stable-alpha", type=float, default=ProcessSpec.stable_alpha)
+    sub.add_argument("--bp-alpha", type=float, default=ProcessSpec.bp_alpha)
+    sub.add_argument("--bp-beta", type=float, default=ProcessSpec.bp_beta)
+    sub.add_argument("--gd-step", type=float, default=ProcessSpec.gd_step)
+    sub.add_argument("--curvature", type=_csv_floats, default=ProcessSpec.curvature)
     _common_flags(sub)
     sub.set_defaults(func=cmd_simulate)
 
@@ -463,13 +465,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("ballmass", help="empirical kernel ball-mass curve")
     sub.add_argument("--lags", type=_csv_ints, default=(1,))
     sub.add_argument("--mode", choices=("average", "worst"), default="average")
-    sub.add_argument("--window", type=_float_pair, default=(0.01, 0.2))
+    sub.add_argument("--window", type=_float_pair, default=exponents.DEFAULT_MASS_WINDOW)
     _add_radii_flags(sub)
     _common_flags(sub, needs_input=True)
     sub.set_defaults(func=cmd_ballmass)
 
     sub = subs.add_parser("kfunction", help="spatial K-function curve and slope")
-    sub.add_argument("--window", type=_float_pair, default=(0.005, 0.1))
+    sub.add_argument("--window", type=_float_pair, default=spatial.DEFAULT_PAIR_WINDOW)
     _add_radii_flags(sub)
     _common_flags(sub, needs_input=True)
     sub.set_defaults(func=cmd_kfunction)
@@ -492,11 +494,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--n", type=int, default=100)
     sub.add_argument("--delta", type=float, default=0.05)
     sub.add_argument("--gamma2", type=float, default=0.0)
-    sub.add_argument("--mutual-info-inf", type=float, default=0.0)
-    sub.add_argument("--mutual-info-1", type=float, default=0.0)
-    sub.add_argument("--k1", type=float, default=1.0)
-    sub.add_argument("--k2", type=float, default=1.0)
-    sub.add_argument("--unbounded-loss-tail", type=float, default=0.0)
+    sub.add_argument("--mutual-info-inf", type=float, default=bounds_mod.BoundInputs.mutual_info_inf)
+    sub.add_argument("--mutual-info-1", type=float, default=bounds_mod.BoundInputs.mutual_info_1)
+    sub.add_argument("--k1", type=float, default=bounds_mod.BoundInputs.k1)
+    sub.add_argument("--k2", type=float, default=bounds_mod.BoundInputs.k2)
+    sub.add_argument("--unbounded-loss-tail", type=float, default=bounds_mod.BoundInputs.unbounded_loss_tail)
     sub.add_argument("--alpha", type=float, default=1.0)
     sub.add_argument("--c-rho", type=float, default=1.0)
     sub.add_argument("--curve", default=None, help="CSV with radius,mass columns")
@@ -520,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--window", type=int, default=200, help="trailing iterate count (0 keeps all)")
     sub.add_argument("--normalize", action="store_true")
     sub.add_argument("--block-size", type=int, default=10)
-    sub.add_argument("--mass-window", type=_float_pair, default=(0.01, 0.2))
+    sub.add_argument("--mass-window", type=_float_pair, default=exponents.DEFAULT_MASS_WINDOW)
     sub.add_argument("--seed", type=int, default=0)
     _add_ft_flags(sub)
     _add_radii_flags(sub, ("--radii-num", "--level-lo", "--level-hi"))

@@ -274,20 +274,19 @@ class RunningStdNormalization:
     trajectory: Trajectory
     first_scaled_index: int
     degenerate_axes: tuple[int, ...]
-    convention: str
 
     @property
     def degenerate(self) -> bool:
         return self.first_scaled_index >= len(self.trajectory)
 
 
-def normalize_by_running_std(trajectory: Trajectory, ddof: int = 0) -> RunningStdNormalization:
+def normalize_by_running_std(trajectory: Trajectory) -> RunningStdNormalization:
     """Divide iterate k coordinate-wise by the std of iterates 0..k.
 
-    ``ddof=0`` (population convention, the default) divides the variance sum
-    by ``k + 1``; ``ddof=1`` uses the sample convention.  Scaling starts at the
-    first index where every varying coordinate has positive prefix std; a
-    fully constant trajectory is returned unscaled with all axes flagged.
+    The variance sum is divided by ``k + 1`` (the population convention).
+    Scaling starts at the first index where every varying coordinate has
+    positive prefix std; a fully constant trajectory is returned unscaled
+    with all axes flagged.
 
     The prefix sums run on the iterates centered at the first one: variance is
     shift-invariant, and a prefix that contains the center has mean square at
@@ -295,9 +294,7 @@ def normalize_by_running_std(trajectory: Trajectory, ddof: int = 0) -> RunningSt
     precision however far the iterates sit from the origin.
     """
     if len(trajectory) < 2:
-        raise ValueError("running-std normalization needs at least 2 points")
-    if ddof not in (0, 1):
-        raise ValueError(f"ddof must be 0 or 1, got {ddof}")
+        raise InsufficientDataError(f"running-std normalization needs at least 2 points, got {len(trajectory)}")
     pts = trajectory.points
     n, dim = pts.shape
     counts = np.arange(1, n + 1, dtype=np.float64)[:, None]
@@ -305,24 +302,16 @@ def normalize_by_running_std(trajectory: Trajectory, ddof: int = 0) -> RunningSt
     cum = np.cumsum(centered, axis=0)
     cum2 = np.cumsum(centered * centered, axis=0)
     var = cum2 / counts - (cum / counts) ** 2
-    if ddof == 1:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            var = var * counts / (counts - 1.0)
-        var[0] = 0.0
     sd = np.sqrt(np.clip(var, 0.0, None))
 
     varying = sd[-1] > 0.0
     degenerate_axes = tuple(int(i) for i in np.nonzero(~varying)[0])
     if not varying.any():
-        return RunningStdNormalization(trajectory, n, degenerate_axes, _convention(ddof))
+        return RunningStdNormalization(trajectory, n, degenerate_axes)
 
     positive_from = np.argmax(sd[:, varying] > 0.0, axis=0)
     k0 = int(positive_from.max())
     scaled = pts.copy()
     cols = np.nonzero(varying)[0]
     scaled[k0:, cols] = pts[k0:, cols] / sd[k0:, cols]
-    return RunningStdNormalization(Trajectory(scaled), k0, degenerate_axes, _convention(ddof))
-
-
-def _convention(ddof: int) -> str:
-    return "population" if ddof == 0 else "sample"
+    return RunningStdNormalization(Trajectory(scaled), k0, degenerate_axes)

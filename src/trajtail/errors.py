@@ -12,7 +12,7 @@ class DataError(Exception):
 
 
 class TrajectoryFormatError(DataError):
-    """Structurally malformed trajectory file (e.g. ragged rows)."""
+    """Structurally malformed trajectory or curve file (e.g. ragged rows)."""
 
 
 class TrajectoryParseError(DataError):

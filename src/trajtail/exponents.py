@@ -32,6 +32,7 @@ __all__ = [
 
 LOW_SAMPLE_THRESHOLD = 50
 DEFAULT_MASS_WINDOW = (0.01, 0.2)
+MAX_ANCHORS = 64
 _XMIN_GRID_SIZE = 100
 
 
@@ -179,17 +180,13 @@ def lower_tail_exponent_reciprocal(trajectory: Trajectory, x_min: float | None =
 
 
 def ball_mass_curve(
-    trajectory: Trajectory,
-    lags: Iterable[int],
-    radii: RadiusGrid,
-    mode: str = "average",
-    max_anchors: int = 64,
+    trajectory: Trajectory, lags: Iterable[int], radii: RadiusGrid, mode: str = "average"
 ) -> BallMassCurve:
     """Empirical masses of balls around trajectory points under the step kernel.
 
     ``average`` pools all lag-k steps: the mass at radius r is the fraction of
     steps no longer than r, averaged over lags.  ``worst`` evaluates per-anchor
-    masses on a deterministic subsample of at most ``max_anchors`` start points
+    masses on a deterministic subsample of at most ``MAX_ANCHORS`` start points
     and takes the pointwise minimum (a conservative stand-in for the least
     favorable anchor).
     """
@@ -199,7 +196,7 @@ def ball_mass_curve(
     if lag_list[0] < 1:
         raise ValueError("lags must be positive")
     if lag_list[-1] >= len(trajectory):
-        raise ValueError(f"max lag {lag_list[-1]} must be smaller than trajectory length {len(trajectory)}")
+        raise InsufficientDataError(f"max lag {lag_list[-1]} must be smaller than trajectory length {len(trajectory)}")
     if mode not in ("average", "worst"):
         raise ValueError(f"mode must be 'average' or 'worst', got {mode!r}")
     r = radii.radii
@@ -212,7 +209,7 @@ def ball_mass_curve(
     else:
         pts = trajectory.points
         last_start = len(trajectory) - 1 - lag_list[-1]
-        anchors = np.unique(np.linspace(0, last_start, min(max_anchors, last_start + 1)).astype(int))
+        anchors = np.unique(np.linspace(0, last_start, min(MAX_ANCHORS, last_start + 1)).astype(int))
         masses = np.ones(r.size)
         for a in anchors:
             hits = np.zeros(r.size)

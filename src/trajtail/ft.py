@@ -285,14 +285,7 @@ def _minimize_restart(gram: TruncatedGram, z0: np.ndarray, options: SubgradientO
     return best_val, best_p, trace
 
 
-def estimate_gamma2(
-    w,
-    rho: float | None = None,
-    *,
-    loss_bound: float | None = None,
-    lipschitz: float | None = None,
-    options: SubgradientOptions | None = None,
-) -> FtEstimate:
+def estimate_gamma2(w, rho: float | None = None, *, options: SubgradientOptions | None = None) -> FtEstimate:
     """Minimize the objective over the simplex; deterministic given the seed.
 
     Returns the better of the optimized weights and uniform weights, so the
@@ -302,7 +295,7 @@ def estimate_gamma2(
     """
     options = options or DEFAULT_OPTIONS
     pts = w.points if isinstance(w, Trajectory) else Trajectory(w).points
-    rho = resolve_rho(rho, loss_bound, lipschitz)
+    rho = resolve_rho(rho)
     n = pts.shape[0]
     if n == 1:
         return FtEstimate(0.0, SimplexWeights.uniform(1), np.zeros(0), "uniform")

@@ -50,12 +50,12 @@ class ProcessSpec:
     dim: int
     steps: int
     seed: int
-    sigma: float | tuple[float, ...] = 1.0
+    sigma: float | tuple[float, ...] = (1.0,)
     stable_alpha: float = 1.5
     bp_alpha: float = 0.5
     bp_beta: float = 3.5
     gd_step: float = 0.1
-    curvature: float | tuple[float, ...] = 1.0
+    curvature: float | tuple[float, ...] = (1.0,)
     start: tuple[float, ...] | None = None
 
     def __post_init__(self):

@@ -25,6 +25,7 @@ __all__ = [
 ]
 
 DEFAULT_PAIR_WINDOW = (0.005, 0.1)
+DUDLEY_FACTOR = 3.0
 
 
 @dataclass(frozen=True)
@@ -140,10 +141,10 @@ def covering_numbers(trajectory: Trajectory, radii: RadiusGrid) -> CoveringProfi
     return CoveringProfile(radii, counts, dudley)
 
 
-def dudley_dominates(gamma2_value: float, profile: CoveringProfile, factor: float = 3.0) -> bool:
-    """Diagnostic: does factor * dudley_value dominate the functional estimate?
+def dudley_dominates(gamma2_value: float, profile: CoveringProfile) -> bool:
+    """Diagnostic: does ``DUDLEY_FACTOR * dudley_value`` dominate the functional estimate?
 
     The chaining constant is unknown, so violations are reported by callers
     rather than asserted.
     """
-    return gamma2_value <= factor * profile.dudley_value + 1e-9
+    return gamma2_value <= DUDLEY_FACTOR * profile.dudley_value + 1e-9

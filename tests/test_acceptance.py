@@ -13,6 +13,7 @@ import pytest
 from scipy import special
 
 from trajtail.bounds import (
+    J_REL_TOL,
     BoundInputs,
     corollary1_bound,
     gauss_radial_bounds_check,
@@ -260,7 +261,7 @@ def test_c11_special_functions():
         for (a, d, t, r), v in table.items()
     }
     worst_key = max(rel_err, key=rel_err.get)
-    closed_ok = rel_err[worst_key] <= 1e-6  # j_integral's documented rel_tol
+    closed_ok = rel_err[worst_key] <= J_REL_TOL
     # J is not monotone in D: at b = a rho^2 = 1 it falls with D, at b = 1/8
     # it rises from D = 2 on because the prefactor b^(1-D/2) grows with D.
     unit = [table[(1.0, d, 1.0, 1.0)] for d in grid_d]

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trajtail
 from trajtail.cli import main
@@ -97,6 +101,66 @@ class TestExitCodes:
         assert code == 1
         assert "trajectory length 1" in err and "argument error" not in err
 
+    def test_lag_beyond_short_trajectory_is_data_error(self, capsys, tmp_path):
+        path = tmp_path / "four.csv"
+        path.write_text("0,0\n1,1\n2,3\n4,4\n")
+        code, _, err = run_cli(capsys, "ballmass", "--input", str(path), "--lags", "1,5")
+        assert code == 1
+        assert "max lag 5" in err and "argument error" not in err
+
+    def test_normalize_one_row_is_data_error(self, capsys, tmp_path):
+        path = tmp_path / "one.csv"
+        path.write_text("1,2\n")
+        code, _, err = run_cli(capsys, "analyze", "--input", str(path), "--normalize")
+        assert code == 1
+        assert "at least 2 points" in err and "argument error" not in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("radius,mass\n0.1,0.5\n0.2,abc\n", "line 3"), ("radius,mass\n0.1,0.5\n0.2,0.4\n", "nondecreasing")],
+    )
+    def test_invalid_mass_curve_is_data_error(self, capsys, tmp_path, text, message):
+        curve = tmp_path / "curve.csv"
+        curve.write_text(text)
+        code, _, err = run_cli(capsys, "bound", "--form", "kernel", "--curve", str(curve))
+        assert code == 1
+        assert message in err and "argument error" not in err
+
+
+def _adversarial_csv(rows: int, cols: int, offset: float, scale: float, duplicate: bool, constant: int, seed: int):
+    """CSV text of a walk: far from the origin, maybe repeated rows and constant leading columns."""
+    points = offset + scale * np.cumsum(np.random.default_rng(seed).standard_normal((rows, cols)), axis=0)
+    if duplicate:
+        points = np.repeat(points, 2, axis=0)[:rows]
+    points[:, :constant] = offset
+    return "".join(",".join(repr(float(x)) for x in row) + "\n" for row in points)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.integers(1, 30),
+    cols=st.one_of(st.integers(1, 4), st.integers(5, 500)),
+    offset=st.floats(-1e12, 1e12),
+    scale=st.sampled_from([0.0, 1e-9, 1e-3, 1.0]),
+    duplicate=st.booleans(),
+    constant=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+    normalize=st.booleans(),
+)
+def test_analyze_fuzz_exits_with_data_error_or_json(
+    tmp_path_factory, rows, cols, offset, scale, duplicate, constant, seed, normalize
+):
+    """Adversarial trajectories either analyze to a JSON report or exit 1; never 2 or an uncaught exception."""
+    path = tmp_path_factory.mktemp("fuzz") / "walk.csv"
+    path.write_text(_adversarial_csv(rows, cols, offset, scale, duplicate, constant, seed))
+    argv = ["analyze", "--input", str(path), "--iterations", "5", "--window", "20"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ["--normalize"] * normalize)
+    assert code in (0, 1), err.getvalue()
+    if code == 0:
+        json.loads(out.getvalue())
+
 
 def test_import_leaves_scipy_integrate_unloaded():
     """Only the bound calculators integrate, so importing the CLI must not load the quadrature."""
@@ -167,18 +231,17 @@ class TestConfigFile:
             capsys, "study", "--name", "gaussian-dimension", "--config", str(cfg), "--param", "steps=300"
         )
         assert code == 0, err
-        config = parse(out)["config"]
-        assert config["param"] == ["steps=2000", "dims=2", "steps=300"]
-        assert config["params"]["steps"] == 300 and config["params"]["dims"] == [2]
+        assert parse(out)["config"]["param"] == ["steps=2000", "dims=2", "steps=300"]
+        params = json.loads((tmp_path / "gaussian_dimension.json").read_text())["spec"]["params"]
+        assert params["steps"] == 300 and params["dims"] == [2]
 
 
 def _config_file_text(config: dict) -> str:
     """A reported config as `key = value` lines: unset (null) flags left out,
-    lists joined by commas, one line per `param` override, and the study's
-    resolved `params` table left out because the `param` lines produce it."""
+    lists joined by commas and one line per `param` override."""
     lines = []
     for key, value in config.items():
-        if value is None or key == "params":
+        if value is None:
             continue
         if key == "param":
             lines += [f"param = {item}" for item in value]
@@ -321,9 +384,9 @@ class TestStudyCommand:
             "--param", "steps=2000", "--param", "dims=2", "--out-dir", str(tmp_path),
         )
         assert code == 0
-        doc = parse(out)
-        assert (tmp_path / "gaussian_dimension.json").exists()
-        assert doc["config"]["params"]["steps"] == 2000
+        assert "params" not in parse(out)["config"]
+        summary = json.loads((tmp_path / "gaussian_dimension.json").read_text())
+        assert summary["spec"]["params"]["steps"] == 2000
 
     @pytest.mark.parametrize(
         "name, param, recorded",
@@ -336,8 +399,8 @@ class TestStudyCommand:
         )
         assert code == 0, err
         key = param.split("=")[0]
-        assert parse(out)["config"]["params"][key] == recorded
         summary = json.loads((tmp_path / f"{name.replace('-', '_')}.json").read_text())
+        assert summary["spec"]["params"][key] == recorded
         assert summary["grid"] == recorded
 
 

@@ -159,14 +159,7 @@ class TestNormalizeByRunningStd:
         t = Trajectory(np.array([[0.0], [2.0]]))
         res = normalize_by_running_std(t)
         assert res.first_scaled_index == 1
-        assert res.convention == "population"
         np.testing.assert_allclose(res.trajectory.points, [[0.0], [2.0]])
-
-    def test_two_points_sample_convention(self):
-        t = Trajectory(np.array([[0.0], [2.0]]))
-        res = normalize_by_running_std(t, ddof=1)
-        assert res.convention == "sample"
-        np.testing.assert_allclose(res.trajectory.points, [[0.0], [2.0 / np.sqrt(2.0)]])
 
     def test_constant_trajectory_flagged_unscaled(self):
         t = Trajectory(np.full((5, 2), 3.0))
@@ -217,7 +210,7 @@ class TestNormalizeByRunningStd:
             np.testing.assert_allclose(scaled * ref_sd[k0:, varying], pts[k0:, varying], rtol=1e-10, atol=0)
 
     def test_needs_two_points(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InsufficientDataError):
             normalize_by_running_std(Trajectory(np.zeros((1, 2))))
 
 

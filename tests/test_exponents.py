@@ -5,6 +5,7 @@ from scipy import stats
 from trajtail.core import RadiusGrid, Seed, Trajectory, increments
 from trajtail.errors import DegenerateDataError, InsufficientDataError
 from trajtail.exponents import (
+    MAX_ANCHORS,
     ball_mass_curve,
     exponent_from_ball_mass,
     fit_power_law,
@@ -108,7 +109,7 @@ class TestBallMassCurve:
             ball_mass_curve(Trajectory(np.zeros((5, 1))), (), RadiusGrid([1.0], rho=1.0))
 
     def test_lag_exceeding_length_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InsufficientDataError):
             ball_mass_curve(Trajectory(np.zeros((5, 1))), (5,), RadiusGrid([1.0], rho=1.0))
 
     def test_masses_nondecreasing_and_rigid_motion_invariant(self):
@@ -122,10 +123,11 @@ class TestBallMassCurve:
         np.testing.assert_allclose(ball_mass_curve(moved, (1, 2), grid).masses, base.masses, atol=1e-12)
 
     def test_worst_mode_below_average_over_all_anchors(self):
-        walk = simulate(ProcessSpec("gaussian_walk", dim=2, steps=200, seed=6))
+        # lags up to 3 leave MAX_ANCHORS start points, so every start is an anchor
+        walk = simulate(ProcessSpec("gaussian_walk", dim=2, steps=MAX_ANCHORS + 2, seed=6))
         grid = RadiusGrid(np.geomspace(0.1, 3.0, 10), rho=3.0)
         avg = ball_mass_curve(walk, (1, 2, 3), grid)
-        worst = ball_mass_curve(walk, (1, 2, 3), grid, mode="worst", max_anchors=10_000)
+        worst = ball_mass_curve(walk, (1, 2, 3), grid, mode="worst")
         assert worst.mode == "worst"
         assert np.all(np.diff(worst.masses) >= 0)
         # with every anchor included, the least favorable anchor sits below
