@@ -16,7 +16,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from . import bounds as bounds_mod
 from . import core, exponents, ft, spatial
@@ -153,7 +152,7 @@ def cmd_stable_index(args) -> dict:
     if args.layer_sizes is not None:
         sizes = list(args.layer_sizes)
         if sum(sizes) != trajectory.dim:
-            raise ValueError(f"layer sizes {sizes} must sum to dimension {trajectory.dim}")
+            raise DataError(f"--layer-sizes sum to {sum(sizes)}, but {args.input} has {trajectory.dim} columns")
         blocks, start = [], 0
         for s in sizes:
             blocks.append(list(range(start, start + s)))
@@ -208,7 +207,7 @@ def cmd_ballmass(args) -> dict:
 
 def cmd_kfunction(args) -> dict:
     trajectory = core.load_trajectory(args.input, args.has_header)
-    grid = _resolve_radii(args, pdist(trajectory.points))
+    grid = _resolve_radii(args, trajectory.pair_distances())
     curve = spatial.k_function(trajectory, grid)
     report: dict = {"command": "kfunction", "n": curve.n, "diameter": curve.diameter, "n_radii": len(grid)}
     _attempt(report, "slope", lambda: spatial.k_function_slope(curve, window=args.window))
@@ -218,7 +217,7 @@ def cmd_kfunction(args) -> dict:
 
 def cmd_cover(args) -> dict:
     trajectory = core.load_trajectory(args.input, args.has_header)
-    dists = pdist(trajectory.points)
+    dists = trajectory.pair_distances()
     if args.radii_min is not None:
         grid = core.RadiusGrid.geometric(args.radii_min, args.radii_max, args.radii_num, rho=args.rho)
     elif np.any(dists > 0):
@@ -357,13 +356,13 @@ def cmd_analyze(args) -> dict:
     )
 
     def k_slope():
-        grid = _quantile_grid(pdist(trajectory.points), args.level_lo, args.level_hi, args.radii_num)
+        grid = _quantile_grid(trajectory.pair_distances(), args.level_lo, args.level_hi, args.radii_num)
         return spatial.k_function_slope(spatial.k_function(trajectory, grid))
 
     _attempt(report, "k_function_slope", k_slope)
 
     def dudley():
-        dists = pdist(ft_input.points)
+        dists = ft_input.pair_distances()
         if not np.any(dists > 0):
             return {"dudley_value": 0.0, "dominates": True}
         profile = spatial.covering_numbers(ft_input, _quantile_grid(dists, 0.01, 1.0, args.radii_num, rho))

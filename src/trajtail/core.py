@@ -6,7 +6,9 @@ threads; the operations are pure functions of their inputs.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -27,6 +29,7 @@ __all__ = [
     "SimplexWeights",
     "RadiusGrid",
     "RunningStdNormalization",
+    "pairwise_distances",
     "load_trajectory",
     "save_trajectory",
     "increments",
@@ -38,6 +41,8 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 # Weight vectors must sum to one within this slack.
 SIMPLEX_TOL = 1e-9
+# Element cap on the coordinate differences ``pairwise_distances`` holds at once.
+_DIFF_BUDGET = 1 << 16
 
 
 def _splitmix64(x: int) -> int:
@@ -112,6 +117,44 @@ class Trajectory:
     @property
     def dim(self) -> int:
         return self.points.shape[1]
+
+    @cached_property
+    def distances(self) -> np.ndarray:
+        """Read-only ``(n, n)`` matrix of :func:`pairwise_distances`, computed on first use."""
+        dist = pairwise_distances(self.points)
+        dist.setflags(write=False)
+        return dist
+
+    def pair_distances(self) -> np.ndarray:
+        """Distances of the pairs ``i < j`` in row-major order: the upper triangle of ``distances``."""
+        return self.distances[~np.tri(len(self), dtype=bool)]
+
+
+def pairwise_distances(points: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of ``points``, shape ``(n, n)``.
+
+    Row ``i`` is computed against the rows after it and mirrored into column
+    ``i``, so the matrix is exactly symmetric with a zero diagonal, and
+    duplicate rows are exactly 0 apart.  The differences are taken in chunks
+    of at most ``_DIFF_BUDGET`` elements, never ``n * D`` or ``n * n * D`` at
+    once.  Distances too large for float64 are ``inf``, without a warning.
+    """
+    pts = np.ascontiguousarray(points, dtype=np.float64)
+    n, dim = pts.shape
+    dist = np.zeros((n, n))
+    chunk = max(1, _DIFF_BUDGET // dim)
+    scratch = np.empty((min(chunk, max(n - 1, 0)), dim))
+    with np.errstate(over="ignore"):
+        for i in range(n - 1):
+            for j0 in range(i + 1, n, chunk):
+                j1 = min(j0 + chunk, n)
+                diff = scratch[: j1 - j0]
+                np.subtract(pts[j0:j1], pts[i], out=diff)
+                row = np.einsum("ij,ij->i", diff, diff)
+                np.sqrt(row, out=row)
+                dist[i, j0:j1] = row
+                dist[j0:j1, i] = row
+    return dist
 
 
 @dataclass(frozen=True)
@@ -195,6 +238,11 @@ class RadiusGrid:
     ) -> "RadiusGrid":
         """Grid at empirical quantiles of positive ``values`` (duplicates dropped)."""
         vals = np.asarray(values, dtype=np.float64)
+        overflowed = int(np.count_nonzero(~np.isfinite(vals)))
+        if overflowed:
+            raise DegenerateDataError(
+                f"{overflowed} of {vals.size} values are non-finite (overflowed float64); no quantile grid"
+            )
         vals = vals[vals > 0]
         if vals.size == 0:
             raise DegenerateDataError("no positive values to take quantiles of")
@@ -211,8 +259,32 @@ def load_trajectory(path: str | Path, has_header: bool = False) -> Trajectory:
     Raises :class:`TrajectoryFormatError` on ragged rows (naming the line),
     :class:`TrajectoryParseError` on non-numeric or non-finite cells (naming
     the line) and :class:`EmptyInputError` when no data rows remain.
+
+    ``np.loadtxt`` reads the file first; its result is kept only when it has
+    one finite row per data line, which is exactly what the line-by-line
+    reader would return.  Anything else (blank, ragged or unparsable rows,
+    non-finite cells, no data) goes to the line-by-line reader, which defines
+    what is accepted and names the offending line.
     """
     path = Path(path)
+    raw = path.read_bytes()
+    # lines as text mode splits them: at \n, \r or \r\n, the last one unterminated
+    lines = raw.count(b"\n") + raw.count(b"\r") - raw.count(b"\r\n") + (not raw.endswith((b"\n", b"\r")))
+    data_lines = lines - int(has_header) if raw else 0
+    if data_lines > 0:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+                points = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=int(has_header))
+        except ValueError:
+            points = None
+        if points is not None and points.shape[0] == data_lines and np.isfinite(points).all():
+            return Trajectory(points)
+    return _load_trajectory_lines(path, has_header)
+
+
+def _load_trajectory_lines(path: Path, has_header: bool) -> Trajectory:
+    """The reference reader behind :func:`load_trajectory`: one line at a time, each cell through ``float``."""
     rows: list[list[float]] = []
     width: int | None = None
     with path.open("r", newline="") as handle:
@@ -259,7 +331,9 @@ def increments(trajectory: Trajectory, lag: int = 1) -> IncrementSeries:
     if lag >= len(trajectory):
         raise InsufficientDataError(f"lag {lag} must be smaller than trajectory length {len(trajectory)}")
     pts = trajectory.points
-    return IncrementSeries(pts[lag:] - pts[:-lag], lag)
+    with np.errstate(over="ignore"):  # steps too large for float64 are inf
+        deltas = pts[lag:] - pts[:-lag]
+    return IncrementSeries(deltas, lag)
 
 
 @dataclass(frozen=True)

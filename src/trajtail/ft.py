@@ -33,9 +33,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 
-from .core import Seed, SimplexWeights, Trajectory
+from .core import Seed, SimplexWeights, Trajectory, pairwise_distances
 
 __all__ = [
     "TruncatedGram",
@@ -105,7 +104,7 @@ class TruncatedGram:
             raise ValueError("points must be a nonempty 2-d array")
         if not np.all(np.isfinite(pts)):
             raise ValueError("points contain non-finite coordinates")
-        dist = squareform(pdist(pts))
+        dist = pairwise_distances(pts)
         np.minimum(dist, rho, out=dist)
         order = np.argsort(dist, axis=1, kind="stable")
         sorted_entries = np.take_along_axis(dist, order, axis=1)

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .core import RadiusGrid, Trajectory
 from .errors import InsufficientDataError
@@ -70,11 +69,10 @@ class CoveringProfile:
 
 def k_function(trajectory: Trajectory, radii: RadiusGrid) -> KFunctionCurve:
     """Evaluate K(r) = (diam/n) * #{ordered pairs i != j with |w_i - w_j| <= r}."""
-    pts = trajectory.points
-    n = pts.shape[0]
+    n = len(trajectory)
     if n < 2:
         return KFunctionCurve(radii, np.zeros(len(radii)), n, 0.0)
-    d = np.sort(pdist(pts))
+    d = np.sort(trajectory.pair_distances())
     diam = float(d[-1])
     pairs = 2.0 * np.searchsorted(d, radii.radii, side="right")
     return KFunctionCurve(radii, diam / n * pairs, n, diam)
@@ -102,18 +100,18 @@ def k_function_slope(curve: KFunctionCurve, window: tuple[float, float] = DEFAUL
     return float(slope)
 
 
-def _farthest_point_radii(pts: np.ndarray) -> np.ndarray:
+def _farthest_point_radii(dist: np.ndarray) -> np.ndarray:
     """Covering radius after k greedy centers, for k = 1..#distinct points.
 
-    Starts from point 0 and repeatedly adds the point farthest from the
-    current centers (ties to the lowest index via argmax).
+    ``dist`` is the ``(n, n)`` pairwise distance matrix.  Starts from point 0
+    and repeatedly adds the point farthest from the current centers (ties to
+    the lowest index via argmax).
     """
-    n = pts.shape[0]
-    dist_to_centers = np.linalg.norm(pts - pts[0], axis=1)
+    dist_to_centers = dist[0].copy()
     radii = [float(dist_to_centers.max())]
     while radii[-1] > 0.0:
         center = int(np.argmax(dist_to_centers))
-        np.minimum(dist_to_centers, np.linalg.norm(pts - pts[center], axis=1), out=dist_to_centers)
+        np.minimum(dist_to_centers, dist[center], out=dist_to_centers)
         radii.append(float(dist_to_centers.max()))
     return np.asarray(radii)
 
@@ -125,8 +123,7 @@ def covering_numbers(trajectory: Trajectory, radii: RadiusGrid) -> CoveringProfi
     [0, rho] (evaluated on {0} + the grid radii below rho + {rho}), divided
     by rho.
     """
-    pts = trajectory.points
-    cover_radii = _farthest_point_radii(pts)
+    cover_radii = _farthest_point_radii(trajectory.distances)
 
     def counts_at(r: np.ndarray) -> np.ndarray:
         # smallest k with cover_radii[k - 1] <= r; cover_radii is nonincreasing

@@ -1,21 +1,33 @@
+import contextlib
+import io
 import statistics
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import pdist
 
 from trajtail.core import (
     RadiusGrid,
     Seed,
     SimplexWeights,
     Trajectory,
+    _load_trajectory_lines,
     increments,
     load_trajectory,
     normalize_by_running_std,
+    pairwise_distances,
     save_trajectory,
 )
-from trajtail.errors import EmptyInputError, InsufficientDataError, TrajectoryFormatError, TrajectoryParseError
+from trajtail.errors import (
+    DegenerateDataError,
+    EmptyInputError,
+    InsufficientDataError,
+    TrajectoryFormatError,
+    TrajectoryParseError,
+)
 from trajtail.simulate import ProcessSpec, simulate
 
 finite_coords = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False, allow_infinity=False)
@@ -95,6 +107,108 @@ class TestLoadSave:
         path = tmp_path_factory.mktemp("rt") / "t.csv"
         save_trajectory(t, path)
         np.testing.assert_array_equal(load_trajectory(path).points, t.points)
+
+
+def _finite_text(x: float, style: str) -> str:
+    return {"repr": repr(x), "g17": "%.17g" % x, "int": str(int(x)), "spaced": f" {x!r} "}[style]
+
+
+# Cells the line-by-line reader accepts (``float`` strips spaces, reads "1_0" and
+# full-width digits) next to cells it rejects or reads as non-finite.
+_ODD_CELLS = ("1_0", "\uff11", "nan", "inf", "-inf", "", "x", " 1.5 ", "1e500")
+
+
+@st.composite
+def _csv_files(draw):
+    """CSV text that is valid, or broken in one of the ways a loader has to name."""
+    width = draw(st.integers(1, 4))
+    odd = draw(st.booleans())
+    finite = st.builds(
+        _finite_text, st.floats(-1e12, 1e12, allow_nan=False), st.sampled_from(["repr", "g17", "int", "spaced"])
+    )
+    cell = st.one_of(finite, st.sampled_from(_ODD_CELLS)) if odd else finite
+    row = st.lists(cell, min_size=width, max_size=width)
+    if draw(st.booleans()):  # ragged rows and blank lines
+        row = st.one_of(row, st.lists(cell, min_size=0, max_size=5))
+    rows = [",".join(r) for r in draw(st.lists(row, max_size=6))]
+    if draw(st.booleans()):
+        rows.insert(0, ",".join(f"c{i}" for i in range(width)))  # a header line
+    endings = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(rows), max_size=len(rows)))
+    text = "".join(r + e for r, e in zip(rows, endings))
+    if rows and draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no final newline
+    return text
+
+
+def _load_outcome(loader, path, has_header):
+    try:
+        points = loader(path, has_header).points
+    except Exception as exc:  # the exception itself is the outcome compared
+        return type(exc), str(exc)
+    return points.shape, points.tobytes()
+
+
+class TestLoaderMatchesLineReader:
+    @settings(max_examples=300, deadline=None)
+    @given(text=_csv_files(), has_header=st.booleans())
+    @example(text="", has_header=False)
+    @example(text="", has_header=True)
+    @example(text="x,y\n", has_header=True)
+    @example(text="x,y", has_header=True)
+    @example(text="1,2\n\n3,4\n", has_header=False)
+    @example(text="1,2\r\n3,4", has_header=False)
+    @example(text="\n\n", has_header=False)
+    def test_same_points_or_same_error(self, tmp_path_factory, text, has_header):
+        """``load_trajectory`` returns what the line-by-line reader returns, or raises what it raises, silently."""
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        path.write_bytes(text.encode())
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            fast = _load_outcome(load_trajectory, path, has_header)
+        assert fast == _load_outcome(_load_trajectory_lines, path, has_header)
+        assert not caught and err.getvalue() == ""
+
+
+class TestPairwiseDistances:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 300),
+        dim=st.integers(1, 2000),
+        offset=st.sampled_from([0.0, 1e6, 1e12]),
+        duplicates=st.integers(0, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=300, dim=2000, offset=1e12, duplicates=5, seed=0)
+    @example(n=150, dim=2000, offset=1e6, duplicates=0, seed=1)
+    def test_matches_pdist(self, n, dim, offset, duplicates, seed):
+        """Within 1e-14 relative of scipy's ``pdist``; exactly symmetric, zero on the diagonal and between duplicates."""
+        rng = np.random.default_rng(seed)
+        pts = offset + rng.standard_normal((n, dim))
+        same = rng.integers(0, n, size=duplicates)
+        pts[same] = pts[same[:1]]
+        dist = pairwise_distances(pts)
+        assert dist.shape == (n, n)
+        assert np.array_equal(dist, dist.T)
+        assert not np.diagonal(dist).any()
+        assert not dist[np.ix_(same, same)].any()
+        upper = dist[~np.tri(n, dtype=bool)]
+        ref = pdist(pts)
+        np.testing.assert_allclose(upper, ref, rtol=1e-14, atol=0.0)
+
+    def test_overflow_is_inf_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dist = pairwise_distances(np.array([[1e308], [-1e308], [1e308]]))
+            steps = increments(Trajectory([[1e308], [-1e308]])).norms()
+        np.testing.assert_array_equal(dist, [[0.0, np.inf, 0.0], [np.inf, 0.0, np.inf], [0.0, np.inf, 0.0]])
+        np.testing.assert_array_equal(steps, [np.inf])
+
+    def test_trajectory_caches_read_only_matrix(self, rng):
+        t = Trajectory(rng.standard_normal((6, 3)))
+        assert t.distances is t.distances
+        assert not t.distances.flags.writeable
+        np.testing.assert_allclose(t.pair_distances(), pdist(t.points), rtol=1e-14, atol=0.0)
 
 
 class TestTrajectoryType:
@@ -241,3 +355,7 @@ class TestWeightAndGridTypes:
         values = rng.exponential(size=500)
         grid = RadiusGrid.from_quantiles(values, np.geomspace(0.01, 0.9, 32))
         assert np.all(np.diff(grid.radii) > 0)
+
+    def test_quantile_grid_rejects_overflowed_values(self):
+        with pytest.raises(DegenerateDataError, match=r"1 of 3 values are non-finite \(overflowed"):
+            RadiusGrid.from_quantiles([1.0, np.inf, 2.0], [0.1, 0.5])
