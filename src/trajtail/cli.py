@@ -53,6 +53,13 @@ def _float_pair(text: str) -> tuple[float, float]:
     return values
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
+
+
 def _csv_ints(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
 
@@ -311,9 +318,7 @@ def cmd_study(args) -> dict:
 
 
 def cmd_analyze(args) -> dict:
-    trajectory = core.load_trajectory(args.input, args.has_header)
-    if args.window > 0 and len(trajectory) > args.window + 1:
-        trajectory = core.Trajectory(trajectory.points[-(args.window + 1) :])
+    trajectory = core.load_trajectory(args.input, args.has_header, args.window + 1 if args.window else None)
     rho = ft.resolve_rho(args.rho)
     report: dict = {
         "command": "analyze",
@@ -518,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("analyze", help="bundled trajectory report")
     sub.add_argument("--rho", type=float, default=0.25)
-    sub.add_argument("--window", type=int, default=200, help="trailing iterate count (0 keeps all)")
+    sub.add_argument("--window", type=_nonnegative_int, default=200, help="reads only the last window + 1 rows (0 all)")
     sub.add_argument("--normalize", action="store_true")
     sub.add_argument("--block-size", type=int, default=10)
     sub.add_argument("--mass-window", type=_float_pair, default=exponents.DEFAULT_MASS_WINDOW)

@@ -6,11 +6,12 @@ threads; the operations are pure functions of their inputs.
 
 from __future__ import annotations
 
+import io
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import BinaryIO, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -43,6 +44,8 @@ _GOLDEN = 0x9E3779B97F4A7C15
 SIMPLEX_TOL = 1e-9
 # Element cap on the coordinate differences ``pairwise_distances`` holds at once.
 _DIFF_BUDGET = 1 << 16
+# Bytes of the first block a trailing read takes from the end of a file; each next block doubles.
+_TAIL_BLOCK = 1 << 16
 
 
 def _splitmix64(x: int) -> int:
@@ -253,65 +256,127 @@ class RadiusGrid:
         return cls(radii, float(radii[-1]) if rho is None else rho)
 
 
-def load_trajectory(path: str | Path, has_header: bool = False) -> Trajectory:
+def load_trajectory(path: str | Path, has_header: bool = False, last: int | None = None) -> Trajectory:
     """Read a trajectory from CSV: one iterate per row, D numeric columns.
 
     Raises :class:`TrajectoryFormatError` on ragged rows (naming the line),
-    :class:`TrajectoryParseError` on non-numeric or non-finite cells (naming
-    the line) and :class:`EmptyInputError` when no data rows remain.
+    :class:`TrajectoryParseError` on non-UTF-8, non-numeric or non-finite
+    cells (naming the line) and :class:`EmptyInputError` when no data rows
+    remain.
 
-    ``np.loadtxt`` reads the file first; its result is kept only when it has
-    one finite row per data line, which is exactly what the line-by-line
-    reader would return.  Anything else (blank, ragged or unparsable rows,
-    non-finite cells, no data) goes to the line-by-line reader, which defines
-    what is accepted and names the offending line.
+    With ``last``, only the file's last ``last`` data lines are read (all of
+    them when it has fewer): the file is read backwards in growing blocks, so
+    the cost does not grow with the lines before them, and nothing in those
+    lines is checked.  The header line counts only when the read reaches it.
+
+    Lines split at ``\\n``, ``\\r`` and ``\\r\\n``, as in text mode.
+    ``np.loadtxt`` parses them first; its result is kept only when it has one
+    finite row per line, which is exactly what the line-by-line reader would
+    return.  Anything else (blank, ragged or unparsable rows, non-finite
+    cells, no data) goes to the line-by-line reader, which defines what is
+    accepted and names the offending line by its number in the file.
     """
     path = Path(path)
-    raw = path.read_bytes()
-    # lines as text mode splits them: at \n, \r or \r\n, the last one unterminated
-    lines = raw.count(b"\n") + raw.count(b"\r") - raw.count(b"\r\n") + (not raw.endswith((b"\n", b"\r")))
-    data_lines = lines - int(has_header) if raw else 0
-    if data_lines > 0:
+    if last is None:
+        lines = _text_lines(path.open("rb"))[int(has_header) :]
+    elif last < 1:
+        raise ValueError(f"last must be a positive line count, got {last}")
+    else:
+        lines = _read_last_lines(path, last, has_header)
+    if lines:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-                points = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=int(has_header))
+                points = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
         except ValueError:
             points = None
-        if points is not None and points.shape[0] == data_lines and np.isfinite(points).all():
+        if points is not None and points.shape[0] == len(lines) and np.isfinite(points).all():
             return Trajectory(points)
-    return _load_trajectory_lines(path, has_header)
+    return _parse_lines(path, lines, lambda: len(_text_lines(path.open("rb"))) - len(lines))
+
+
+def _text_lines(stream: BinaryIO) -> list[str]:
+    """The lines of ``stream`` as text mode splits them, at ``\\n``, ``\\r`` or ``\\r\\n``, without their ends.
+
+    Bytes are decoded as UTF-8.  One that is not becomes a lone surrogate
+    (``surrogateescape``), which no parser reads as a number and
+    :func:`_parse_lines` names.  Closes ``stream``.
+    """
+    with io.TextIOWrapper(stream, encoding="utf-8", errors="surrogateescape", newline="") as text:
+        return [line.rstrip("\r\n") for line in text]
+
+
+def _line_ends(data: bytes) -> int:
+    """Line ends in ``data``: ``\\n``, ``\\r`` and ``\\r\\n`` each count once."""
+    if b"\r" not in data:
+        return data.count(b"\n")
+    return data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
+
+
+def _read_last_lines(path: Path, last: int, has_header: bool) -> list[str]:
+    """The last ``last`` data lines of ``path`` (all when it has fewer), read from its end."""
+    with path.open("rb") as handle:
+        pos = handle.seek(0, io.SEEK_END)
+        data = b""
+        block = _TAIL_BLOCK
+        while pos > 0:
+            step = min(block, pos)
+            pos -= step
+            handle.seek(pos)
+            data = handle.read(step) + data
+            # the complete lines are those after the first line end; the last of them may lack one
+            if _line_ends(data) - data.endswith((b"\n", b"\r")) >= last:
+                break
+            block *= 2
+    lines = _text_lines(io.BytesIO(data))
+    if pos == 0 and has_header:
+        del lines[:1]
+    # with pos > 0, lines[0] may start before the bytes read (or be the "\n" of a
+    # "\r\n"), but at least `last` complete lines follow it
+    return lines[-last:]
 
 
 def _load_trajectory_lines(path: Path, has_header: bool) -> Trajectory:
-    """The reference reader behind :func:`load_trajectory`: one line at a time, each cell through ``float``."""
+    """The reference reader behind :func:`load_trajectory`: every line through :func:`_parse_lines`."""
+    return _parse_lines(path, _text_lines(path.open("rb"))[int(has_header) :], lambda: int(has_header))
+
+
+def _parse_lines(path: Path, lines: list[str], lines_before: Callable[[], int]) -> Trajectory:
+    """The line-by-line reader: each cell through ``float``.
+
+    ``lines_before()`` counts the file's lines before ``lines[0]``; it is
+    called only to name a bad line.
+    """
+
+    def line(index: int) -> str:
+        return f"{path}: line {lines_before() + index + 1}"
+
     rows: list[list[float]] = []
     width: int | None = None
-    with path.open("r", newline="") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if line_no == 1 and has_header:
-                continue
-            cells = line.rstrip("\r\n").split(",")
-            if cells == [""]:
-                raise TrajectoryFormatError(f"{path}: line {line_no}: blank row")
-            if width is None:
-                width = len(cells)
-            elif len(cells) != width:
-                raise TrajectoryFormatError(
-                    f"{path}: line {line_no}: expected {width} columns, got {len(cells)}"
-                )
-            try:
-                rows.append([float(c) for c in cells])
-            except ValueError as exc:
-                raise TrajectoryParseError(f"{path}: line {line_no}: {exc}") from None
+    for index, text in enumerate(lines):
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            byte = ord(text[exc.start]) - 0xDC00  # where surrogateescape put it
+            raise TrajectoryParseError(f"{line(index)}: byte 0x{byte:02x} is not UTF-8") from None
+        cells = text.split(",")
+        if cells == [""]:
+            raise TrajectoryFormatError(f"{line(index)}: blank row")
+        if width is None:
+            width = len(cells)
+        elif len(cells) != width:
+            raise TrajectoryFormatError(f"{line(index)}: expected {width} columns, got {len(cells)}")
+        try:
+            rows.append([float(c) for c in cells])
+        except ValueError as exc:
+            raise TrajectoryParseError(f"{line(index)}: {exc}") from None
     if not rows:
         raise EmptyInputError(f"{path}: no data rows")
     points = np.asarray(rows)
     bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
     if bad.size:
-        # blank rows raise above, so data row i sits on line i + 1 after any header
-        line_no = int(bad[0]) + 1 + int(has_header)
-        raise TrajectoryParseError(f"{path}: line {line_no}: non-finite coordinate")
+        # blank rows raise above, so data row i is lines[i]
+        raise TrajectoryParseError(f"{line(int(bad[0]))}: non-finite coordinate")
     return Trajectory(points)
 
 

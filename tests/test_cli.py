@@ -80,6 +80,20 @@ class TestExitCodes:
         assert code == 1
         assert "line 2" in err and "argument error" not in err
 
+    @pytest.mark.parametrize("command", ["analyze", "gamma2"])
+    def test_non_utf8_byte_is_data_error(self, capsys, tmp_path, command):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"0,0\n1,1\n2,\xff2\n3,3\n")  # line 3 is inside analyze's window
+        code, _, err = run_cli(capsys, command, "--input", str(path))
+        assert code == 1
+        assert "line 3: byte 0xff is not UTF-8" in err and "argument error" not in err
+
+    def test_negative_window_rejected_at_parse(self, capsys, tmp_path):
+        # the input is never read: a missing file would exit 1
+        code, _, err = run_cli(capsys, "analyze", "--input", str(tmp_path / "nope.csv"), "--window", "-3")
+        assert code == 2
+        assert "--window" in err
+
     def test_unconvertible_study_param_names_key(self, capsys):
         code, _, err = run_cli(capsys, "study", "--name", "gaussian-dimension", "--param", "steps=abc")
         assert code == 2
@@ -462,6 +476,24 @@ class TestAnalyze:
         )
         assert code == 0
         assert parse(out)["n"] == 301
+
+
+    def test_rows_before_the_window_are_not_read(self, capsys, tmp_path, walk_csv, monkeypatch):
+        """Bad rows before the trailing window change nothing; ``--window 0`` reads them and names the first."""
+        rows = walk_csv.read_text().splitlines(keepends=True)
+        for name, before in (("clean", rows[50:53]), ("dirty", ["0,x\n", "nan,1\n", "1,2,3\n"])):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "t.csv").write_text("".join(rows[:50] + before + rows[53:]))
+        outs = []
+        for name in ("clean", "dirty"):
+            monkeypatch.chdir(tmp_path / name)  # the report records the --input path
+            code, out, _ = run_cli(capsys, "analyze", "--input", "t.csv", *_FT_SMALL)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+        code, _, err = run_cli(capsys, "analyze", "--input", "t.csv", "--window", "0", *_FT_SMALL)
+        assert code == 1
+        assert "t.csv: line 51:" in err
 
 
 class TestDeterminism:

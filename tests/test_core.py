@@ -1,7 +1,9 @@
 import contextlib
 import io
+import re
 import statistics
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
+from trajtail import core
 from trajtail.core import (
     RadiusGrid,
     Seed,
@@ -168,6 +171,105 @@ class TestLoaderMatchesLineReader:
             fast = _load_outcome(load_trajectory, path, has_header)
         assert fast == _load_outcome(_load_trajectory_lines, path, has_header)
         assert not caught and err.getvalue() == ""
+
+
+def _tail_outcome(text: str, has_header: bool, last: int, where):
+    """What the line-by-line reader gives on a file of only the last ``last`` data lines of ``text``.
+
+    An error is given as it would read for the whole file at ``where``: its
+    path and line number shifted by the lines before the tail.
+    """
+    lines = list(io.StringIO(text, newline=""))  # text mode's split, ends kept
+    tail = lines[int(has_header) :][-last:]
+    before = len(lines) - len(tail)
+    path = where.parent.parent / f"{where.parent.name}-tail.csv"
+    path.write_bytes("".join(tail).encode())
+    kind, detail = _load_outcome(_load_trajectory_lines, path, False)
+    if isinstance(kind, type):
+        detail = detail.replace(str(path), str(where))
+        detail = re.sub(r": line (\d+):", lambda m: f": line {int(m.group(1)) + before}:", detail, count=1)
+    return kind, detail
+
+
+class TestTrailingRead:
+    """``load_trajectory(path, has_header, last=k)`` reads the last ``k`` data lines as if they were the file."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        text=_csv_files(),
+        has_header=st.booleans(),
+        last=st.integers(1, 9),
+        block=st.one_of(st.integers(1, 24), st.just(core._TAIL_BLOCK)),
+    )
+    @example(text="", has_header=False, last=1, block=1)
+    @example(text="x,y\n", has_header=True, last=1, block=1)
+    @example(text="x,y", has_header=True, last=2, block=3)
+    @example(text="1,2\r\n3,4\r\n", has_header=False, last=1, block=1)
+    def test_same_as_tail_file(self, tmp_path_factory, text, has_header, last, block):
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        path.write_bytes(text.encode())
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            with mock.patch.object(core, "_TAIL_BLOCK", block):
+                got = _load_outcome(lambda p, h: load_trajectory(p, h, last=last), path, has_header)
+        assert got == _tail_outcome(text, has_header, last, path)
+        assert not caught and err.getvalue() == ""
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+    def test_every_block_boundary(self, tmp_path, ending):
+        """Blocks of every size, so that one starts inside each line and between the two bytes of each ``\\r\\n``."""
+        text = "".join(f"{i},{-i}.5{ending}" for i in range(6))
+        path = tmp_path / "b.csv"
+        path.write_bytes(text.encode())
+        full = load_trajectory(path).points
+        for block in range(1, len(text) + 2):
+            with mock.patch.object(core, "_TAIL_BLOCK", block):
+                for last in range(1, 8):
+                    got = load_trajectory(path, last=last).points
+                    assert got.tobytes() == full[-last:].tobytes(), (block, last)
+
+    def test_tail_longer_than_first_block(self, tmp_path):
+        t = simulate(ProcessSpec("gaussian_walk", dim=300, steps=400, seed=3))
+        path = save_trajectory(t, tmp_path / "wide.csv")
+        assert 201 * len(path.read_bytes()) // len(t) > 4 * core._TAIL_BLOCK
+        got = load_trajectory(path, last=201).points
+        assert got.tobytes() == t.points[-201:].tobytes()
+
+    @pytest.mark.parametrize("has_header", [False, True])
+    @pytest.mark.parametrize("extra", [0, 1, 5])
+    def test_last_at_and_past_the_row_count(self, tmp_path, has_header, extra):
+        path = tmp_path / "s.csv"
+        path.write_text("a,b\n" * has_header + "1,2\n3,4\n5,6\n")
+        got = load_trajectory(path, has_header, last=3 + extra).points
+        np.testing.assert_array_equal(got, [[1, 2], [3, 4], [5, 6]])
+
+    @pytest.mark.parametrize("text, has_header", [("", False), ("", True), ("a,b\n", True), ("a,b", True)])
+    def test_no_data_rows(self, tmp_path, text, has_header):
+        path = tmp_path / "e.csv"
+        path.write_text(text)
+        with pytest.raises(EmptyInputError):
+            load_trajectory(path, has_header, last=1)
+
+    def test_rows_before_the_tail_are_not_read(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"1,x\n\xff,2\n3\n\n4,nan\n5,6\n7,8\n")
+        np.testing.assert_array_equal(load_trajectory(path, last=2).points, [[5, 6], [7, 8]])
+        with pytest.raises(TrajectoryParseError, match="line 5: non-finite"):
+            load_trajectory(path, last=3)
+
+    @pytest.mark.parametrize("last", [None, 2])
+    def test_non_utf8_byte_names_line(self, tmp_path, last):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"1,2\n3,4\n5,\xff6\n")
+        with pytest.raises(TrajectoryParseError, match="line 3: byte 0xff is not UTF-8"):
+            load_trajectory(path, last=last)
+
+    def test_last_must_be_positive(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("1,2\n")
+        with pytest.raises(ValueError, match="positive"):
+            load_trajectory(path, last=0)
 
 
 class TestPairwiseDistances:
