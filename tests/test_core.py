@@ -173,8 +173,8 @@ class TestLoaderMatchesLineReader:
         assert not caught and err.getvalue() == ""
 
 
-def _tail_outcome(text: str, has_header: bool, last: int, where):
-    """What the line-by-line reader gives on a file of only the last ``last`` data lines of ``text``.
+def _tail_outcome(text: str, has_header: bool, last: int, where, path):
+    """What the line-by-line reader gives on ``path``, a file of only the last ``last`` data lines of ``text``.
 
     An error is given as it would read for the whole file at ``where``: its
     path and line number shifted by the lines before the tail.
@@ -182,7 +182,6 @@ def _tail_outcome(text: str, has_header: bool, last: int, where):
     lines = list(io.StringIO(text, newline=""))  # text mode's split, ends kept
     tail = lines[int(has_header) :][-last:]
     before = len(lines) - len(tail)
-    path = where.parent.parent / f"{where.parent.name}-tail.csv"
     path.write_bytes("".join(tail).encode())
     kind, detail = _load_outcome(_load_trajectory_lines, path, False)
     if isinstance(kind, type):
@@ -213,7 +212,7 @@ class TestTrailingRead:
             warnings.simplefilter("always")
             with mock.patch.object(core, "_TAIL_BLOCK", block):
                 got = _load_outcome(lambda p, h: load_trajectory(p, h, last=last), path, has_header)
-        assert got == _tail_outcome(text, has_header, last, path)
+        assert got == _tail_outcome(text, has_header, last, path, tmp_path_factory.mktemp("tail") / "t.csv")
         assert not caught and err.getvalue() == ""
 
     @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
