@@ -477,7 +477,6 @@ class TestAnalyze:
         assert code == 0
         assert parse(out)["n"] == 301
 
-
     def test_rows_before_the_window_are_not_read(self, capsys, tmp_path, walk_csv, monkeypatch):
         """Bad rows before the trailing window change nothing; ``--window 0`` reads them and names the first."""
         rows = walk_csv.read_text().splitlines(keepends=True)
