@@ -60,8 +60,15 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-def _csv_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(","))
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _csv_positive_ints(text: str) -> tuple[int, ...]:
+    return tuple(_positive_int(x) for x in text.split(","))
 
 
 def _common_flags(sub: argparse.ArgumentParser, needs_input: bool = False) -> None:
@@ -70,18 +77,19 @@ def _common_flags(sub: argparse.ArgumentParser, needs_input: bool = False) -> No
         sub.add_argument("--has-header", action="store_true", help="skip a single header row")
     sub.add_argument("--out-dir", default=None, help="directory for JSON/CSV outputs")
     sub.add_argument("--config", default=None, help="key = value file merged under explicit flags")
-    sub.add_argument("--threads", type=int, default=1, help="worker cap for parallel sections")
     sub.add_argument("--verbose", action="store_true", help="log progress to stderr")
 
 
-def _quantile_grid(values: np.ndarray, lo: float, hi: float, num: int, rho: float | None = None) -> core.RadiusGrid:
-    return core.RadiusGrid.from_quantiles(values, np.geomspace(lo, hi, num), rho)
+def _radius_grid(args, values: np.ndarray, lo: float, hi: float, rho: float | None = None) -> core.RadiusGrid:
+    """``--radii-min``..``--radii-max`` when given, else quantiles of ``values`` at levels ``lo``..``hi``.
 
-
-def _resolve_radii(args, values: np.ndarray) -> core.RadiusGrid:
-    if args.radii_min is not None:
-        return core.RadiusGrid.geometric(args.radii_min, args.radii_max, args.radii_num)
-    return _quantile_grid(values, args.level_lo, args.level_hi, args.radii_num)
+    With ``rho`` and no positive value (one point, or all points equal) the grid is ``[rho]``.
+    """
+    if getattr(args, "radii_min", None) is not None:
+        return core.RadiusGrid.geometric(args.radii_min, args.radii_max, args.radii_num, rho)
+    if rho is not None and not np.any(values > 0):
+        return core.RadiusGrid(np.array([rho]), rho)
+    return core.RadiusGrid.from_quantiles(values, np.geomspace(lo, hi, args.radii_num), rho)
 
 
 def cmd_simulate(args) -> dict:
@@ -176,14 +184,12 @@ def cmd_stable_index(args) -> dict:
     }
 
 
-def _write_curve(args, name: str, xs, ys, header: tuple[str, str]) -> None:
+def _write_curve(args, name: str, xs, ys, header: str) -> None:
     path = _out_file(args, f"{name}.csv")
     if path is None:
         return
     with path.open("w", newline="") as handle:
-        handle.write(f"{header[0]},{header[1]}\n")
-        for x, y in zip(xs, ys):
-            handle.write(f"{x:.17g},{y:.17g}\n")
+        np.savetxt(handle, np.column_stack((xs, ys)), fmt="%.17g", delimiter=",", header=header, comments="")
 
 
 def _attempt(report: dict, key: str, fn) -> None:
@@ -199,7 +205,7 @@ def cmd_ballmass(args) -> dict:
     trajectory = core.load_trajectory(args.input, args.has_header)
     lags = args.lags
     norms = core.increments(trajectory, min(lags)).norms()
-    grid = _resolve_radii(args, norms)
+    grid = _radius_grid(args, norms, args.level_lo, args.level_hi)
     curve = exponents.ball_mass_curve(trajectory, lags, grid, mode=args.mode)
     report: dict = {
         "command": "ballmass",
@@ -208,31 +214,25 @@ def cmd_ballmass(args) -> dict:
         "n_radii": len(grid),
     }
     _attempt(report, "exponent", lambda: exponents.exponent_from_ball_mass(curve, window=args.window))
-    _write_curve(args, "ballmass", grid.radii, curve.masses, ("radius", "mass"))
+    _write_curve(args, "ballmass", grid.radii, curve.masses, "radius,mass")
     return report
 
 
 def cmd_kfunction(args) -> dict:
     trajectory = core.load_trajectory(args.input, args.has_header)
-    grid = _resolve_radii(args, trajectory.pair_distances())
+    grid = _radius_grid(args, trajectory.pair_distances(), args.level_lo, args.level_hi)
     curve = spatial.k_function(trajectory, grid)
     report: dict = {"command": "kfunction", "n": curve.n, "diameter": curve.diameter, "n_radii": len(grid)}
     _attempt(report, "slope", lambda: spatial.k_function_slope(curve, window=args.window))
-    _write_curve(args, "kfunction", grid.radii, curve.values, ("radius", "k_value"))
+    _write_curve(args, "kfunction", grid.radii, curve.values, "radius,k_value")
     return report
 
 
 def cmd_cover(args) -> dict:
     trajectory = core.load_trajectory(args.input, args.has_header)
-    dists = trajectory.pair_distances()
-    if args.radii_min is not None:
-        grid = core.RadiusGrid.geometric(args.radii_min, args.radii_max, args.radii_num, rho=args.rho)
-    elif np.any(dists > 0):
-        grid = _quantile_grid(dists, args.level_lo, 1.0, args.radii_num, args.rho)
-    else:  # one point, or all points equal
-        grid = core.RadiusGrid(np.array([args.rho]), args.rho)
+    grid = _radius_grid(args, trajectory.pair_distances(), args.level_lo, 1.0, args.rho)
     profile = spatial.covering_numbers(trajectory, grid)
-    _write_curve(args, "cover", grid.radii, profile.counts.astype(float), ("radius", "count"))
+    _write_curve(args, "cover", grid.radii, profile.counts.astype(float), "radius,count")
     return {
         "command": "cover",
         "dudley_value": profile.dudley_value,
@@ -310,8 +310,8 @@ def cmd_study(args) -> dict:
         "command": "study",
         "study": name,
         "files": [str(p) for p in paths],
-        "verdicts": dict(sorted(result.verdicts.items())),
-        "diagnostics": {k: float(v) for k, v in sorted(result.diagnostics.items())},
+        "verdicts": result.verdicts,
+        "diagnostics": result.diagnostics,
         "seed": args.seed,
         "config": {"name": name, "replicates": spec.resolved_replicates()},
     }
@@ -346,31 +346,24 @@ def cmd_analyze(args) -> dict:
         report, "reciprocal_power_law", lambda: _tail_fit_dict(exponents.lower_tail_exponent_reciprocal(trajectory))
     )
 
-    norms = core.increments(trajectory, 1).norms()
+    steps = core.increments(trajectory, 1)
 
     def ball_exponent():
-        grid = _quantile_grid(norms, args.level_lo, args.level_hi, args.radii_num)
+        grid = _radius_grid(args, steps.norms(), args.level_lo, args.level_hi)
         curve = exponents.ball_mass_curve(trajectory, (1,), grid)
         return exponents.exponent_from_ball_mass(curve, window=args.mass_window)
 
     _attempt(report, "ball_mass_exponent", ball_exponent)
-    _attempt(
-        report,
-        "stable_index",
-        lambda: exponents.stable_index(core.increments(trajectory, 1).deltas.ravel(), args.block_size).alpha_hat,
-    )
+    _attempt(report, "stable_index", lambda: exponents.stable_index(steps.deltas.ravel(), args.block_size).alpha_hat)
 
     def k_slope():
-        grid = _quantile_grid(trajectory.pair_distances(), args.level_lo, args.level_hi, args.radii_num)
+        grid = _radius_grid(args, trajectory.pair_distances(), args.level_lo, args.level_hi)
         return spatial.k_function_slope(spatial.k_function(trajectory, grid))
 
     _attempt(report, "k_function_slope", k_slope)
 
     def dudley():
-        dists = ft_input.pair_distances()
-        if not np.any(dists > 0):
-            return {"dudley_value": 0.0, "dominates": True}
-        profile = spatial.covering_numbers(ft_input, _quantile_grid(dists, 0.01, 1.0, args.radii_num, rho))
+        profile = spatial.covering_numbers(ft_input, _radius_grid(args, ft_input.pair_distances(), 0.01, 1.0, rho))
         dominates = spatial.dudley_dominates(est.value, profile)
         if not dominates:
             log.warning("entropy-integral diagnostic violated: gamma2=%.4f dudley=%.4f", est.value, profile.dudley_value)
@@ -410,7 +403,7 @@ def _with_config_file(argv: list[str]) -> list[str]:
 _RADII_FLAGS = {
     "--radii-min": {"type": float, "default": None},
     "--radii-max": {"type": float, "default": None},
-    "--radii-num": {"type": int, "default": 48},
+    "--radii-num": {"type": _positive_int, "default": 48},
     "--level-lo": {"type": float, "default": 0.002},
     "--level-hi": {"type": float, "default": 0.5},
 }
@@ -462,12 +455,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("stable-index", help="block log-moment stable index")
     sub.add_argument("--block-size", type=int, default=10)
-    sub.add_argument("--layer-sizes", type=_csv_ints, default=None)
+    sub.add_argument("--layer-sizes", type=_csv_positive_ints, default=None)
     _common_flags(sub, needs_input=True)
     sub.set_defaults(func=cmd_stable_index)
 
     sub = subs.add_parser("ballmass", help="empirical kernel ball-mass curve")
-    sub.add_argument("--lags", type=_csv_ints, default=(1,))
+    sub.add_argument("--lags", type=_csv_positive_ints, default=(1,))
     sub.add_argument("--mode", choices=("average", "worst"), default="average")
     sub.add_argument("--window", type=_float_pair, default=exponents.DEFAULT_MASS_WINDOW)
     _add_radii_flags(sub)
@@ -518,6 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--replicates", type=int, default=None)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--param", action="append", help="override a study parameter, KEY=VALUE")
+    sub.add_argument("--threads", type=_positive_int, default=1, help="worker threads for the study cells")
     _common_flags(sub)
     sub.set_defaults(func=cmd_study)
 
@@ -551,7 +545,7 @@ def main(argv: list[str] | None = None) -> int:
         report = args.func(args)
         recorded = {k: v for k, v in vars(args).items() if k not in _UNRECORDED}
         report["config"] = {**recorded, **report.get("config", {})}
-        text = json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n"
+        text = json.dumps(report, indent=2, sort_keys=True, default=_jsonable) + "\n"
         path = _out_file(args, f"{report['command']}.json")
         if path is not None:
             path.write_text(text)

@@ -384,8 +384,7 @@ def save_trajectory(trajectory: Trajectory, path: str | Path) -> Path:
     """Write CSV with 17 significant digits so load/save round-trips exactly."""
     path = Path(path)
     with path.open("w", newline="") as handle:
-        for row in trajectory.points:
-            handle.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        np.savetxt(handle, trajectory.points, fmt="%.17g", delimiter=",")
     return path
 
 

@@ -327,11 +327,8 @@ def run_study(spec: StudySpec, threads: int = 1) -> StudyResult:
         gi, ri = cell
         return cell_fn(grid[gi], base.spawn(gi, ri), params)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outputs = list(pool.map(run_cell, cells))
-    else:
-        outputs = [run_cell(c) for c in cells]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        outputs = list(pool.map(run_cell, cells))
 
     names = sorted(outputs[0])
     raw = {name: np.empty((len(grid), reps)) for name in names}
@@ -366,26 +363,19 @@ def emit_report(result: StudyResult, out_dir: str | Path) -> list[Path]:
             "study": spec.study,
             "replicates": spec.resolved_replicates(),
             "seed": spec.seed,
-            "params": {k: _jsonable(v) for k, v in spec.resolved_params().items()},
+            "params": spec.resolved_params(),
         },
         "grid_label": result.grid_label,
-        "grid": [_jsonable(g) for g in result.grid],
-        "stats": {
-            name: {
-                "mean": [float(x) for x in s.mean],
-                "lo95": [float(x) for x in s.lo95],
-                "hi95": [float(x) for x in s.hi95],
-            }
-            for name, s in sorted(result.stats.items())
-        },
-        "verdicts": dict(sorted(result.verdicts.items())),
-        "diagnostics": {k: float(v) for k, v in sorted(result.diagnostics.items())},
+        "grid": result.grid,
+        "stats": {name: {"mean": s.mean, "lo95": s.lo95, "hi95": s.hi95} for name, s in result.stats.items()},
+        "verdicts": result.verdicts,
+        "diagnostics": result.diagnostics,
         "seed": spec.seed,
         "runtime_seconds": None,
     }
     paths = []
     json_path = out_dir / f"{spec.study}.json"
-    json_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    json_path.write_text(json.dumps(summary, indent=2, sort_keys=True, default=_jsonable) + "\n")
     paths.append(json_path)
     single = len(result.stats) == 1
     for name, s in sorted(result.stats.items()):
@@ -400,17 +390,7 @@ def emit_report(result: StudyResult, out_dir: str | Path) -> list[Path]:
 
 
 def _jsonable(obj):
-    """Plain JSON types for numpy scalars and arrays, tuples and nested containers."""
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(x) for x in obj]
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    return obj
+    """``json.dumps`` hook: numpy scalars and arrays as Python values."""
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")

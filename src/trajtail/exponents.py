@@ -10,7 +10,7 @@ Three routes to an exponent live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -171,12 +171,9 @@ def lower_tail_exponent_reciprocal(trajectory: Trajectory, x_min: float | None =
             f"only {nonzero.size} nonzero steps (need {LOW_SAMPLE_THRESHOLD})"
         )
     fit = fit_power_law(1.0 / nonzero, x_min=x_min)
-    notes = fit.notes
     if dropped:
-        notes += (f"dropped {dropped} zero-length steps",)
-    return TailFitResult(
-        fit.alpha_survival, fit.alpha_density, fit.x_min, fit.ks_distance, fit.n_tail, fit.n_samples, notes
-    )
+        fit = replace(fit, notes=fit.notes + (f"dropped {dropped} zero-length steps",))
+    return fit
 
 
 def ball_mass_curve(

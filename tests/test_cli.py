@@ -65,6 +65,25 @@ class TestExitCodes:
     def test_unread_radii_flags_not_accepted(self, capsys, walk_csv):
         assert run_cli(capsys, "analyze", "--input", str(walk_csv), "--radii-min", "0.5")[0] == 2
         assert run_cli(capsys, "cover", "--input", str(walk_csv), "--level-hi", "0.5")[0] == 2
+        assert run_cli(capsys, "analyze", "--input", str(walk_csv), "--threads", "2")[0] == 2
+        assert run_cli(capsys, "gamma2", "--input", str(walk_csv), "--threads", "2")[0] == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("ballmass", "--input", "nope.csv", "--radii-num", "0"),
+            ("analyze", "--input", "nope.csv", "--radii-num", "0"),
+            ("kfunction", "--input", "nope.csv", "--radii-num", "-3"),
+            ("ballmass", "--input", "nope.csv", "--lags", "0,1"),
+            ("stable-index", "--input", "nope.csv", "--layer-sizes", "2,0"),
+            ("study", "--name", "gaussian-dimension", "--replicates", "1", "--param", "steps=300", "--threads", "0"),
+        ],
+    )
+    def test_non_positive_count_rejected_at_parse(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)  # no nope.csv here: reading the input would exit 1
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert f"argument {argv[-2]}: expected a positive integer" in err
 
     @pytest.mark.parametrize("argv", [("ballmass", "--radii-min", "0.5"), ("cover", "--radii-max", "3")])
     def test_half_given_radii_rejected(self, capsys, walk_csv, argv):
@@ -468,6 +487,7 @@ class TestAnalyze:
         for key in ("ball_mass_exponent", "k_function_slope"):
             assert doc[key] is None
             assert "no positive values" in doc[f"{key}_error"]
+        assert doc["covering"] == {"dudley_value": 0.0, "dominates": True}
 
     def test_window_override(self, capsys, walk_csv):
         code, out, _ = run_cli(

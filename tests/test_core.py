@@ -103,6 +103,11 @@ class TestLoadSave:
         back = load_trajectory(path)
         np.testing.assert_array_equal(back.points, t.points)
 
+    def test_saved_bytes(self, tmp_path):
+        t = Trajectory(np.array([[-0.0, 1e-320, 1e300], [0.1, -2.5, 3.0]]))
+        path = save_trajectory(t, tmp_path / "t.csv")
+        assert path.read_bytes() == b"-0,9.9998886718268301e-321,1.0000000000000001e+300\n0.10000000000000001,-2.5,3\n"
+
     @settings(max_examples=50, deadline=None)
     @given(rows=st.lists(st.lists(finite_coords, min_size=3, max_size=3), min_size=1, max_size=8))
     def test_round_trip_is_identity(self, rows, tmp_path_factory):

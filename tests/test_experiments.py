@@ -123,6 +123,19 @@ def test_each_cell_is_one_call_through_a_cell_attribute(monkeypatch):
         assert len(calls) == len(res.grid) * spec.resolved_replicates()
 
 
+def test_json_hook_writes_numpy_values_as_python_values():
+    report = {
+        "f32": np.float32(0.1),
+        "i64": np.int64(-3),
+        "flag": np.bool_(True),
+        "array": np.array([[0.5, 2.0]]),
+        "nested": (1, (np.float64(0.25), "x")),
+    }
+    assert json.dumps(report, sort_keys=True, default=experiments._jsonable) == (
+        '{"array": [[0.5, 2.0]], "f32": 0.10000000149011612, "flag": true, "i64": -3, "nested": [1, [0.25, "x"]]}'
+    )
+
+
 class TestEmitReport:
     def test_file_naming_and_determinism(self, tmp_path):
         res = run_study(TINY_GD)
