@@ -194,9 +194,7 @@ def j_integral(a: float, horizon: float, rho: float, dim: int) -> float:
     value /= horizon
     err /= horizon
     if not np.isfinite(value) or err > J_REL_TOL * abs(value):
-        raise ConvergenceError(
-            f"quadrature error estimate {err:.3e} exceeds {J_REL_TOL:.0e} * |J|", partial=value
-        )
+        raise ConvergenceError(f"quadrature error estimate {err:.3e} exceeds {J_REL_TOL:.0e} * |J|")
     return float(value)
 
 

@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 data/convergence error, 2 argument error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -47,10 +48,21 @@ def _csv_floats(text: str) -> tuple[float, ...]:
 
 
 def _float_pair(text: str) -> tuple[float, float]:
+    """A ``lo,hi`` window of fractions: ``0 < lo < hi <= 1``."""
     values = _csv_floats(text)
     if len(values) != 2:
         raise argparse.ArgumentTypeError(f"expected two comma-separated numbers, got {text!r}")
+    if not 0.0 < values[0] < values[1] <= 1.0:
+        raise argparse.ArgumentTypeError(f"expected 0 < lo < hi <= 1, got {text!r}")
     return values
+
+
+def _level(text: str) -> float:
+    """A quantile level in (0, 1]."""
+    value = float(text)
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"expected a level in (0, 1], got {text!r}")
+    return value
 
 
 def _nonnegative_int(text: str) -> int:
@@ -64,6 +76,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _block_size(text: str) -> int:
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 2, got {text!r}")
     return value
 
 
@@ -92,21 +111,17 @@ def _radius_grid(args, values: np.ndarray, lo: float, hi: float, rho: float | No
     return core.RadiusGrid.from_quantiles(values, np.geomspace(lo, hi, args.radii_num), rho)
 
 
+def _from_flags(cls, args, **given):
+    """``cls`` built from the parsed flag of each field not in ``given``: a flag's dest is its field's name.
+
+    A field without a flag raises ``AttributeError`` rather than taking its default.
+    """
+    return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls) if f.name not in given}, **given)
+
+
 def cmd_simulate(args) -> dict:
     kind = _KIND_ALIASES.get(args.kind, args.kind)
-    spec = ProcessSpec(
-        kind=kind,
-        dim=args.dim,
-        steps=args.steps,
-        seed=args.seed,
-        sigma=args.sigma,
-        stable_alpha=args.stable_alpha,
-        bp_alpha=args.bp_alpha,
-        bp_beta=args.bp_beta,
-        gd_step=args.gd_step,
-        curvature=args.curvature,
-    )
-    trajectory = simulate(spec)
+    trajectory = simulate(_from_flags(ProcessSpec, args, kind=kind, start=None))
     core.save_trajectory(trajectory, args.out)
     return {
         "command": "simulate",
@@ -118,23 +133,15 @@ def cmd_simulate(args) -> dict:
     }
 
 
-def _ft_options(args) -> ft.SubgradientOptions:
-    return ft.SubgradientOptions(
-        iterations=args.iterations,
-        restarts=args.restarts,
-        seed=args.seed,
-        dtype=args.ft_dtype,
-    )
-
-
 def cmd_gamma2(args) -> dict:
+    options = _from_flags(ft.SubgradientOptions, args, dtype=args.ft_dtype)
     trajectory = core.load_trajectory(args.input, args.has_header)
     rho = ft.resolve_rho(args.rho, args.loss_bound, args.lipschitz)
-    est = ft.estimate_gamma2(trajectory, rho, options=_ft_options(args))
+    est = ft.estimate_gamma2(trajectory, rho, options=options)
     return {
         "command": "gamma2",
         "gamma2": est.value,
-        "weights": list(est.weights.weights),
+        "weights": est.weights.weights,
         "method": est.method,
         "n": len(trajectory),
         "rho": rho,
@@ -143,22 +150,10 @@ def cmd_gamma2(args) -> dict:
     }
 
 
-def _tail_fit_dict(fit: exponents.TailFitResult) -> dict:
-    return {
-        "alpha_survival": fit.alpha_survival,
-        "alpha_density": fit.alpha_density,
-        "x_min": fit.x_min,
-        "ks_distance": fit.ks_distance,
-        "n_tail": fit.n_tail,
-        "n_samples": fit.n_samples,
-        "notes": list(fit.notes),
-    }
-
-
 def cmd_tail_fit(args) -> dict:
     trajectory = core.load_trajectory(args.input, args.has_header)
     fit = exponents.lower_tail_exponent_reciprocal(trajectory, x_min=args.x_min)
-    return {"command": "tail-fit", **_tail_fit_dict(fit)}
+    return {"command": "tail-fit", **dataclasses.asdict(fit)}
 
 
 def cmd_stable_index(args) -> dict:
@@ -175,13 +170,7 @@ def cmd_stable_index(args) -> dict:
         result = exponents.layerwise_stable_index(trajectory, blocks, args.block_size)
     else:
         result = exponents.stable_index(deltas.ravel(), args.block_size)
-    return {
-        "command": "stable-index",
-        "alpha_hat": result.alpha_hat,
-        "per_block": list(result.per_block),
-        "block_size": result.block_size,
-        "n_zero_dropped": result.n_zero_dropped,
-    }
+    return {"command": "stable-index", **dataclasses.asdict(result)}
 
 
 def _write_curve(args, name: str, xs, ys, header: str) -> None:
@@ -207,12 +196,7 @@ def cmd_ballmass(args) -> dict:
     norms = core.increments(trajectory, min(lags)).norms()
     grid = _radius_grid(args, norms, args.level_lo, args.level_hi)
     curve = exponents.ball_mass_curve(trajectory, lags, grid, mode=args.mode)
-    report: dict = {
-        "command": "ballmass",
-        "lags": list(lags),
-        "mode": args.mode,
-        "n_radii": len(grid),
-    }
+    report: dict = {"command": "ballmass", "lags": lags, "mode": args.mode, "n_radii": len(grid)}
     _attempt(report, "exponent", lambda: exponents.exponent_from_ball_mass(curve, window=args.window))
     _write_curve(args, "ballmass", grid.radii, curve.masses, "radius,mass")
     return report
@@ -232,13 +216,13 @@ def cmd_cover(args) -> dict:
     trajectory = core.load_trajectory(args.input, args.has_header)
     grid = _radius_grid(args, trajectory.pair_distances(), args.level_lo, 1.0, args.rho)
     profile = spatial.covering_numbers(trajectory, grid)
-    _write_curve(args, "cover", grid.radii, profile.counts.astype(float), "radius,count")
+    _write_curve(args, "cover", grid.radii, profile.counts, "radius,count")
     return {
         "command": "cover",
         "dudley_value": profile.dudley_value,
         "rho": args.rho,
-        "counts": [int(c) for c in profile.counts],
-        "radii": list(grid.radii),
+        "counts": profile.counts,
+        "radii": grid.radii,
     }
 
 
@@ -257,19 +241,7 @@ def _load_mass_curve(path: str, rho: float) -> exponents.BallMassCurve:
 def cmd_bound(args) -> dict:
     report: dict = {"command": "bound", "form": args.form}
     if args.form in ("theorem1-prob", "theorem1-exp"):
-        inp = bounds_mod.BoundInputs(
-            loss_bound=args.loss_bound,
-            lipschitz=args.lipschitz,
-            rho=args.rho,
-            n=args.n,
-            delta=args.delta,
-            gamma2=args.gamma2,
-            mutual_info_inf=args.mutual_info_inf,
-            mutual_info_1=args.mutual_info_1,
-            k1=args.k1,
-            k2=args.k2,
-            unbounded_loss_tail=args.unbounded_loss_tail,
-        )
+        inp = _from_flags(bounds_mod.BoundInputs, args)
         if args.form == "theorem1-prob":
             report["value"] = bounds_mod.theorem1_high_prob_bound(inp)
             report["confidence"] = inp.confidence
@@ -286,10 +258,7 @@ def cmd_bound(args) -> dict:
     elif args.form == "j-integral":
         report["value"] = bounds_mod.j_integral(args.a, args.horizon, args.rho, args.dim)
     else:  # gauss-check
-        check = bounds_mod.gauss_radial_bounds_check(args.a, args.r, args.rho, args.dim)
-        report.update(
-            {"integral": check.integral, "lower": check.lower, "upper": check.upper, "holds": check.holds}
-        )
+        report.update(dataclasses.asdict(bounds_mod.gauss_radial_bounds_check(args.a, args.r, args.rho, args.dim)))
     return report
 
 
@@ -318,6 +287,7 @@ def cmd_study(args) -> dict:
 
 
 def cmd_analyze(args) -> dict:
+    options = _from_flags(ft.SubgradientOptions, args, dtype=args.ft_dtype)
     trajectory = core.load_trajectory(args.input, args.has_header, args.window + 1 if args.window else None)
     rho = ft.resolve_rho(args.rho)
     report: dict = {
@@ -335,15 +305,15 @@ def cmd_analyze(args) -> dict:
         ft_input = norm.trajectory
         report["normalization"] = {
             "first_scaled_index": norm.first_scaled_index,
-            "degenerate_axes": list(norm.degenerate_axes),
+            "degenerate_axes": norm.degenerate_axes,
             "convention": "population",
         }
-    est = ft.estimate_gamma2(ft_input, rho, options=_ft_options(args))
+    est = ft.estimate_gamma2(ft_input, rho, options=options)
     report["gamma2"] = est.value
     report["gamma2_method"] = est.method
 
     _attempt(
-        report, "reciprocal_power_law", lambda: _tail_fit_dict(exponents.lower_tail_exponent_reciprocal(trajectory))
+        report, "reciprocal_power_law", lambda: dataclasses.asdict(exponents.lower_tail_exponent_reciprocal(trajectory))
     )
 
     steps = core.increments(trajectory, 1)
@@ -404,8 +374,8 @@ _RADII_FLAGS = {
     "--radii-min": {"type": float, "default": None},
     "--radii-max": {"type": float, "default": None},
     "--radii-num": {"type": _positive_int, "default": 48},
-    "--level-lo": {"type": float, "default": 0.002},
-    "--level-hi": {"type": float, "default": 0.5},
+    "--level-lo": {"type": _level, "default": 0.002},
+    "--level-hi": {"type": _level, "default": 0.5},
 }
 
 
@@ -454,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_tail_fit)
 
     sub = subs.add_parser("stable-index", help="block log-moment stable index")
-    sub.add_argument("--block-size", type=int, default=10)
+    sub.add_argument("--block-size", type=_block_size, default=10)
     sub.add_argument("--layer-sizes", type=_csv_positive_ints, default=None)
     _common_flags(sub, needs_input=True)
     sub.set_defaults(func=cmd_stable_index)
@@ -519,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--rho", type=float, default=0.25)
     sub.add_argument("--window", type=_nonnegative_int, default=200, help="reads only the last window + 1 rows (0 all)")
     sub.add_argument("--normalize", action="store_true")
-    sub.add_argument("--block-size", type=int, default=10)
+    sub.add_argument("--block-size", type=_block_size, default=10)
     sub.add_argument("--mass-window", type=_float_pair, default=exponents.DEFAULT_MASS_WINDOW)
     sub.add_argument("--seed", type=int, default=0)
     _add_ft_flags(sub)

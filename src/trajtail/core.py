@@ -413,10 +413,6 @@ class RunningStdNormalization:
     first_scaled_index: int
     degenerate_axes: tuple[int, ...]
 
-    @property
-    def degenerate(self) -> bool:
-        return self.first_scaled_index >= len(self.trajectory)
-
 
 def normalize_by_running_std(trajectory: Trajectory) -> RunningStdNormalization:
     """Divide iterate k coordinate-wise by the std of iterates 0..k.

@@ -32,11 +32,4 @@ class DegenerateDataError(DataError):
 
 
 class ConvergenceError(DataError):
-    """An iterative or adaptive routine missed its tolerance budget.
-
-    Carries the best available estimate in ``partial``.
-    """
-
-    def __init__(self, message: str, partial: float | None = None):
-        super().__init__(message)
-        self.partial = partial
+    """An iterative or adaptive routine missed its tolerance budget."""

@@ -13,7 +13,7 @@ import json
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
@@ -223,12 +223,9 @@ def _normalize(trajectory, mode: str):
 def _gamma2(process: ProcessSpec, seed: Seed, params: Mapping[str, Any]) -> dict[str, float]:
     """Functional of one normalized simulated walk: the body of both functional cells."""
     walk = _normalize(simulate(process), params["normalization"])
-    options = SubgradientOptions(
-        iterations=params["ft_iterations"],
-        restarts=params["ft_restarts"],
-        seed=seed.spawn(1).base,
-        dtype=params["ft_dtype"],
-    )
+    # each option but the seed is the study parameter ``ft_<field>``
+    tuned = {f.name: params[f"ft_{f.name}"] for f in fields(SubgradientOptions) if f.name != "seed"}
+    options = SubgradientOptions(seed=seed.spawn(1).base, **tuned)
     return {"gamma2": estimate_gamma2(walk, rho=params["rho"], options=options).value}
 
 
@@ -367,7 +364,7 @@ def emit_report(result: StudyResult, out_dir: str | Path) -> list[Path]:
         },
         "grid_label": result.grid_label,
         "grid": result.grid,
-        "stats": {name: {"mean": s.mean, "lo95": s.lo95, "hi95": s.hi95} for name, s in result.stats.items()},
+        "stats": {name: asdict(s) for name, s in result.stats.items()},
         "verdicts": result.verdicts,
         "diagnostics": result.diagnostics,
         "seed": spec.seed,

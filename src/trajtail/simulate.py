@@ -145,10 +145,8 @@ def simulate(spec: ProcessSpec) -> Trajectory:
         # one (steps, dim) normal block
         deltas = rng.standard_normal((n, d)) * spec._sigma_vector()
     elif spec.kind == "stable_levy_walk":
-        # one (steps, dim) uniform block, then one exponential block
-        u = rng.uniform(-np.pi / 2, np.pi / 2, (n, d))
-        e = rng.standard_exponential((n, d))
-        deltas = stable_transform(spec.stable_alpha, u, e) * spec._sigma_vector()
+        # stable_sample's draws: one (steps, dim) uniform block, then one exponential block
+        deltas = stable_sample(spec.stable_alpha, rng, (n, d)) * spec._sigma_vector()
     elif spec.kind == "beta_prime_walk":
         # angles first, then step lengths
         angles = rng.uniform(-np.pi, np.pi, n)

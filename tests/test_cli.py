@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -12,7 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trajtail
-from trajtail.cli import main
+from trajtail.bounds import BoundInputs
+from trajtail.cli import _from_flags, build_parser, main
+from trajtail.ft import SubgradientOptions
+from trajtail.simulate import ProcessSpec
 
 
 def run_cli(capsys, *argv):
@@ -84,6 +88,32 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, *argv)
         assert code == 2
         assert f"argument {argv[-2]}: expected a positive integer" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("stable-index", "--input", "nope.csv", "--block-size", "1"), "argument --block-size: expected an integer >= 2"),
+            (("analyze", "--input", "nope.csv", "--window", "0", "--block-size", "0"),
+             "argument --block-size: expected an integer >= 2"),
+            (("analyze", "--input", "nope.csv", "--level-hi", "2"), "argument --level-hi: expected a level in (0, 1]"),
+            (("ballmass", "--input", "nope.csv", "--level-hi", "1.5"), "argument --level-hi: expected a level in (0, 1]"),
+            (("analyze", "--input", "nope.csv", "--level-lo", "0"), "argument --level-lo: expected a level in (0, 1]"),
+            (("analyze", "--input", "nope.csv", "--mass-window", "0.5,0.1"),
+             "argument --mass-window: expected 0 < lo < hi <= 1"),
+            (("kfunction", "--input", "nope.csv", "--window", "0.5,0.1"), "argument --window: expected 0 < lo < hi <= 1"),
+            (("gamma2", "--input", "nope.csv", "--iterations", "0"), "iterations and restarts must be >= 1"),
+            (("analyze", "--input", "nope.csv", "--restarts", "0"), "iterations and restarts must be >= 1"),
+            (("simulate", "--kind", "gaussian-walk", "--steps", "0", "--out", "t.csv"), "steps must be >= 1, got 0"),
+            (("simulate", "--kind", "gaussian-walk", "--dim", "0", "--out", "t.csv"), "dim must be >= 1, got 0"),
+            (("study", "--name", "gaussian-dimension", "--replicates", "0"), "replicates must be >= 1"),
+        ],
+    )
+    def test_count_and_range_flags_rejected_before_any_work(self, capsys, tmp_path, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)  # no nope.csv here: reading the input would exit 1
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert message in err
+        assert out == "" and list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [("ballmass", "--radii-min", "0.5"), ("cover", "--radii-max", "3")])
     def test_half_given_radii_rejected(self, capsys, walk_csv, argv):
@@ -175,6 +205,24 @@ class TestExitCodes:
         for key in ("ball_mass_exponent", "k_function_slope", "covering"):
             assert report[key] is None
             assert "non-finite (overflowed" in report[f"{key}_error"]
+
+
+@pytest.mark.parametrize(
+    "argv, cls, given",
+    [
+        (("simulate", "--kind", "gaussian-walk", "--out", "t.csv"), ProcessSpec, {"kind": "gaussian_walk", "start": None}),
+        (("bound", "--form", "theorem1-prob"), BoundInputs, {}),
+        (("gamma2", "--input", "t.csv"), SubgradientOptions, {"dtype": "float64"}),
+        (("analyze", "--input", "t.csv"), SubgradientOptions, {"dtype": "float64"}),
+    ],
+)
+def test_every_built_field_is_a_flag_dest(argv, cls, given):
+    """The command builds ``cls`` by field name, so each field it does not pass itself is the dest of a flag."""
+    args = build_parser().parse_args(argv)
+    names = {f.name for f in dataclasses.fields(cls)} - set(given)
+    assert names <= set(vars(args))
+    built = _from_flags(cls, args, **given)
+    assert all(getattr(built, name) == getattr(args, name) for name in names)
 
 
 def _adversarial_csv(rows: int, cols: int, offset: float, scale: float, duplicate: bool, constant: int, seed: int):

@@ -384,7 +384,7 @@ class TestNormalizeByRunningStd:
     def test_constant_trajectory_flagged_unscaled(self):
         t = Trajectory(np.full((5, 2), 3.0))
         res = normalize_by_running_std(t)
-        assert res.degenerate
+        assert res.first_scaled_index == len(res.trajectory)
         assert res.degenerate_axes == (0, 1)
         np.testing.assert_array_equal(res.trajectory.points, t.points)
 
