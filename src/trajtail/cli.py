@@ -313,7 +313,9 @@ def cmd_analyze(args) -> dict:
     report["gamma2_method"] = est.method
 
     _attempt(
-        report, "reciprocal_power_law", lambda: dataclasses.asdict(exponents.lower_tail_exponent_reciprocal(trajectory))
+        report,
+        "reciprocal_power_law",
+        lambda: dataclasses.asdict(exponents.lower_tail_exponent_reciprocal(trajectory)),
     )
 
     steps = core.increments(trajectory, 1)

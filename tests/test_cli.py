@@ -92,15 +92,18 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (("stable-index", "--input", "nope.csv", "--block-size", "1"), "argument --block-size: expected an integer >= 2"),
+            (("stable-index", "--input", "nope.csv", "--block-size", "1"),
+             "argument --block-size: expected an integer >= 2"),
             (("analyze", "--input", "nope.csv", "--window", "0", "--block-size", "0"),
              "argument --block-size: expected an integer >= 2"),
             (("analyze", "--input", "nope.csv", "--level-hi", "2"), "argument --level-hi: expected a level in (0, 1]"),
-            (("ballmass", "--input", "nope.csv", "--level-hi", "1.5"), "argument --level-hi: expected a level in (0, 1]"),
+            (("ballmass", "--input", "nope.csv", "--level-hi", "1.5"),
+             "argument --level-hi: expected a level in (0, 1]"),
             (("analyze", "--input", "nope.csv", "--level-lo", "0"), "argument --level-lo: expected a level in (0, 1]"),
             (("analyze", "--input", "nope.csv", "--mass-window", "0.5,0.1"),
              "argument --mass-window: expected 0 < lo < hi <= 1"),
-            (("kfunction", "--input", "nope.csv", "--window", "0.5,0.1"), "argument --window: expected 0 < lo < hi <= 1"),
+            (("kfunction", "--input", "nope.csv", "--window", "0.5,0.1"),
+             "argument --window: expected 0 < lo < hi <= 1"),
             (("gamma2", "--input", "nope.csv", "--iterations", "0"), "iterations and restarts must be >= 1"),
             (("analyze", "--input", "nope.csv", "--restarts", "0"), "iterations and restarts must be >= 1"),
             (("simulate", "--kind", "gaussian-walk", "--steps", "0", "--out", "t.csv"), "steps must be >= 1, got 0"),
@@ -210,7 +213,8 @@ class TestExitCodes:
 @pytest.mark.parametrize(
     "argv, cls, given",
     [
-        (("simulate", "--kind", "gaussian-walk", "--out", "t.csv"), ProcessSpec, {"kind": "gaussian_walk", "start": None}),
+        (("simulate", "--kind", "gaussian-walk", "--out", "t.csv"), ProcessSpec,
+         {"kind": "gaussian_walk", "start": None}),
         (("bound", "--form", "theorem1-prob"), BoundInputs, {}),
         (("gamma2", "--input", "t.csv"), SubgradientOptions, {"dtype": "float64"}),
         (("analyze", "--input", "t.csv"), SubgradientOptions, {"dtype": "float64"}),
