@@ -47,14 +47,28 @@ def _csv_floats(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.split(","))
 
 
-def _float_pair(text: str) -> tuple[float, float]:
-    """A ``lo,hi`` window of fractions: ``0 < lo < hi <= 1``."""
+def _float_pair(text: str, hi_below_one: bool = False) -> tuple[float, float]:
+    """A ``lo,hi`` window of fractions: ``0 < lo < hi <= 1``, or ``hi < 1`` with ``hi_below_one``."""
     values = _csv_floats(text)
     if len(values) != 2:
         raise argparse.ArgumentTypeError(f"expected two comma-separated numbers, got {text!r}")
-    if not 0.0 < values[0] < values[1] <= 1.0:
-        raise argparse.ArgumentTypeError(f"expected 0 < lo < hi <= 1, got {text!r}")
+    lo, hi = values
+    if not (0.0 < lo < hi and (hi < 1.0 if hi_below_one else hi <= 1.0)):
+        raise argparse.ArgumentTypeError(f"expected 0 < lo < hi {'<' if hi_below_one else '<='} 1, got {text!r}")
     return values
+
+
+def _mass_window(text: str) -> tuple[float, float]:
+    """A ``lo,hi`` window of ball masses: ``0 < lo < hi < 1``, as ``exponent_from_ball_mass`` requires."""
+    return _float_pair(text, hi_below_one=True)
+
+
+def _positive_float(text: str) -> float:
+    """A finite number above zero."""
+    value = float(text)
+    if not 0.0 < value < np.inf:
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    return value
 
 
 def _level(text: str) -> float:
@@ -373,8 +387,8 @@ def _with_config_file(argv: list[str]) -> list[str]:
 
 
 _RADII_FLAGS = {
-    "--radii-min": {"type": float, "default": None},
-    "--radii-max": {"type": float, "default": None},
+    "--radii-min": {"type": _positive_float, "default": None},
+    "--radii-max": {"type": _positive_float, "default": None},
     "--radii-num": {"type": _positive_int, "default": 48},
     "--level-lo": {"type": _level, "default": 0.002},
     "--level-hi": {"type": _level, "default": 0.5},
@@ -412,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_simulate)
 
     sub = subs.add_parser("gamma2", help="estimate the normalized functional")
-    sub.add_argument("--rho", type=float, default=None)
+    sub.add_argument("--rho", type=_positive_float, default=None)
     sub.add_argument("--loss-bound", type=float, default=None)
     sub.add_argument("--lipschitz", type=float, default=None)
     sub.add_argument("--seed", type=int, default=0)
@@ -434,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("ballmass", help="empirical kernel ball-mass curve")
     sub.add_argument("--lags", type=_csv_positive_ints, default=(1,))
     sub.add_argument("--mode", choices=("average", "worst"), default="average")
-    sub.add_argument("--window", type=_float_pair, default=exponents.DEFAULT_MASS_WINDOW)
+    sub.add_argument("--window", type=_mass_window, default=exponents.DEFAULT_MASS_WINDOW)
     _add_radii_flags(sub)
     _common_flags(sub, needs_input=True)
     sub.set_defaults(func=cmd_ballmass)
@@ -446,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_kfunction)
 
     sub = subs.add_parser("cover", help="greedy covering numbers and entropy integral")
-    sub.add_argument("--rho", type=float, default=1.0)
+    sub.add_argument("--rho", type=_positive_float, default=1.0)
     _add_radii_flags(sub, ("--radii-min", "--radii-max", "--radii-num", "--level-lo"))
     _common_flags(sub, needs_input=True)
     sub.set_defaults(func=cmd_cover)
@@ -488,11 +502,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_study)
 
     sub = subs.add_parser("analyze", help="bundled trajectory report")
-    sub.add_argument("--rho", type=float, default=0.25)
+    sub.add_argument("--rho", type=_positive_float, default=0.25)
     sub.add_argument("--window", type=_nonnegative_int, default=200, help="reads only the last window + 1 rows (0 all)")
     sub.add_argument("--normalize", action="store_true")
     sub.add_argument("--block-size", type=_block_size, default=10)
-    sub.add_argument("--mass-window", type=_float_pair, default=exponents.DEFAULT_MASS_WINDOW)
+    sub.add_argument("--mass-window", type=_mass_window, default=exponents.DEFAULT_MASS_WINDOW)
     sub.add_argument("--seed", type=int, default=0)
     _add_ft_flags(sub)
     _add_radii_flags(sub, ("--radii-num", "--level-lo", "--level-hi"))
@@ -509,6 +523,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(_with_config_file(argv))
         if (getattr(args, "radii_min", None) is None) != (getattr(args, "radii_max", None) is None):
             parser.error("--radii-min and --radii-max must be given together")
+        if getattr(args, "radii_min", None) is not None and not args.radii_min < args.radii_max:
+            parser.error("--radii-min must be below --radii-max")
         logging.basicConfig(
             level=logging.INFO if args.verbose else logging.WARNING,
             stream=sys.stderr,

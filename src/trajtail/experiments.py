@@ -47,7 +47,7 @@ _DEFAULT_PARAMS: dict[str, dict[str, Any]] = {
         "stable_alpha": 1.5,
         "rho": 1.0,
         "normalization": "full",
-        "ft_iterations": 50,
+        "ft_iterations": 25,
         "ft_restarts": 1,
         "ft_dtype": "float32",
     },

@@ -14,11 +14,11 @@ trailing segment up to ``rho`` carries mass one and contributes nothing.
 which any row still has a positive segment: past it every row sits on the
 ``rho`` plateau, so every later segment is exactly zero and adds nothing.
 
-``estimate_gamma2`` minimizes the objective by gradient descent in softmax
-coordinates on the smoothed max ``mu * logsumexp(f / mu)`` of the anchor
-integrals ``f`` (Nesterov, "Smooth minimization of non-smooth functions",
-2005), with ``mu`` shrinking along the run; ``brute_force_gamma2`` is an
-exhaustive simplex-grid oracle used to validate it on small sets.
+``estimate_gamma2`` minimizes the objective by accelerated gradient descent
+in softmax coordinates on the smoothed max ``mu * logsumexp(f / mu)`` of the
+anchor integrals ``f`` (Nesterov, "Smooth minimization of non-smooth
+functions", 2005), with ``mu`` shrinking along the run; ``brute_force_gamma2``
+is an exhaustive simplex-grid oracle used to validate it on small sets.
 
 The objective is not convex in ``p``.  ``sqrt(-log c)`` is convex only for
 ``c <= exp(-1/2)`` and concave above it, so a segment whose cumulative mass
@@ -249,23 +249,27 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 
 def _minimize_restart(gram: TruncatedGram, z0: np.ndarray, options: SubgradientOptions):
-    """Gradient descent from logits ``z0`` on the smoothed max ``mu * logsumexp(f / mu)``.
+    """Accelerated gradient descent from logits ``z0`` on the smoothed max ``mu * logsumexp(f / mu)``.
 
     ``f`` are the anchor integrals over ``rho``, and ``mu`` falls
-    geometrically from ``_MU_START`` to ``_MU_END`` (Nesterov 2005).  Each
-    step is ``2 mu / L`` times the full gradient, ``L`` as in
-    ``_Workspace.gradient``.  The objective ``max f`` of every iterate
-    enters the trace, and the best iterate is returned.
+    geometrically from ``_MU_START`` to ``_MU_END`` (Nesterov 2005).
+    Iteration ``k`` evaluates at the momentum point ``y = z + k/(k+3) (z -
+    z_prev)`` and steps from ``y`` by ``2 mu / L`` times the full gradient
+    there, ``L`` as in ``_Workspace.gradient``.  The momentum is never reset:
+    resetting it when the objective rises breaks the exact symmetries by
+    about 1e-6.  The objective ``max f`` at every ``y`` enters the trace,
+    and the best of them is returned.
     """
     work = _Workspace(gram, options.dtype)
-    z = z0.astype(np.float64)
+    z = z_prev = z0.astype(np.float64)
     best_val = np.inf
     best_p = None
     iterations = options.iterations
     trace = np.empty(iterations + 1)
     mus = _MU_START * (_MU_END / _MU_START) ** (np.arange(iterations) / max(iterations - 1, 1))
     for t in range(iterations + 1):
-        p = _softmax(z)
+        y = z + (t / (t + 3)) * (z - z_prev)
+        p = _softmax(y)
         f = work.integrals(p)
         obj = float(f.max())
         trace[t] = obj
@@ -278,8 +282,9 @@ def _minimize_restart(gram: TruncatedGram, z0: np.ndarray, options: SubgradientO
         # curvature is 0 only when no integral depends on the weights.  The
         # factor 2 keeps rounding noise at 1e-15 under the exact symmetries;
         # from about 6 on, the iteration amplifies it.
+        z_prev, z = z, y
         if curvature > 0.0:
-            z -= (2.0 * mus[t] / curvature) * gz
+            z = y - (2.0 * mus[t] / curvature) * gz
             z -= z.max()
     return best_val, best_p, trace
 

@@ -56,7 +56,7 @@ class TestExitCodes:
     def test_bad_value_is_argument_error(self, capsys, walk_csv):
         code, _, err = run_cli(capsys, "gamma2", "--input", str(walk_csv), "--rho", "-1")
         assert code == 2
-        assert "argument error" in err
+        assert "argument --rho: expected a positive number" in err
 
     def test_window_with_three_values_rejected_at_parse(self, capsys, tmp_path):
         # the input is never read: a missing file would exit 1
@@ -101,7 +101,7 @@ class TestExitCodes:
              "argument --level-hi: expected a level in (0, 1]"),
             (("analyze", "--input", "nope.csv", "--level-lo", "0"), "argument --level-lo: expected a level in (0, 1]"),
             (("analyze", "--input", "nope.csv", "--mass-window", "0.5,0.1"),
-             "argument --mass-window: expected 0 < lo < hi <= 1"),
+             "argument --mass-window: expected 0 < lo < hi < 1"),
             (("kfunction", "--input", "nope.csv", "--window", "0.5,0.1"),
              "argument --window: expected 0 < lo < hi <= 1"),
             (("gamma2", "--input", "nope.csv", "--iterations", "0"), "iterations and restarts must be >= 1"),
@@ -109,6 +109,20 @@ class TestExitCodes:
             (("simulate", "--kind", "gaussian-walk", "--steps", "0", "--out", "t.csv"), "steps must be >= 1, got 0"),
             (("simulate", "--kind", "gaussian-walk", "--dim", "0", "--out", "t.csv"), "dim must be >= 1, got 0"),
             (("study", "--name", "gaussian-dimension", "--replicates", "0"), "replicates must be >= 1"),
+            (("gamma2", "--input", "nope.csv", "--rho", "-1"), "argument --rho: expected a positive number"),
+            (("analyze", "--input", "nope.csv", "--rho", "0"), "argument --rho: expected a positive number"),
+            (("cover", "--input", "nope.csv", "--rho", "inf"), "argument --rho: expected a positive number"),
+            (("ballmass", "--input", "nope.csv", "--radii-min", "-1", "--radii-max", "2"),
+             "argument --radii-min: expected a positive number"),
+            (("kfunction", "--input", "nope.csv", "--radii-min", "0.1", "--radii-max", "nan"),
+             "argument --radii-max: expected a positive number"),
+            (("cover", "--input", "nope.csv", "--radii-min", "3", "--radii-max", "1"),
+             "--radii-min must be below --radii-max"),
+            (("ballmass", "--input", "nope.csv", "--radii-min", "2", "--radii-max", "2"),
+             "--radii-min must be below --radii-max"),
+            (("ballmass", "--input", "nope.csv", "--window", "0.1,1"), "argument --window: expected 0 < lo < hi < 1"),
+            (("analyze", "--input", "nope.csv", "--mass-window", "0.1,1"),
+             "argument --mass-window: expected 0 < lo < hi < 1"),
         ],
     )
     def test_count_and_range_flags_rejected_before_any_work(self, capsys, tmp_path, monkeypatch, argv, message):
@@ -117,6 +131,12 @@ class TestExitCodes:
         assert code == 2
         assert message in err
         assert out == "" and list(tmp_path.iterdir()) == []
+
+    def test_kfunction_window_may_reach_one(self, capsys, walk_csv):
+        # the K-function slope fits pair fractions up to 1; ball-mass fits stop below it
+        code, out, _ = run_cli(capsys, "kfunction", "--input", str(walk_csv), "--window", "0.02,1")
+        assert code == 0
+        assert parse(out)["config"]["window"] == [0.02, 1.0]
 
     @pytest.mark.parametrize("argv", [("ballmass", "--radii-min", "0.5"), ("cover", "--radii-max", "3")])
     def test_half_given_radii_rejected(self, capsys, walk_csv, argv):

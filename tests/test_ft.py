@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
 
-from trajtail.core import SimplexWeights, Trajectory
+from trajtail import experiments
+from trajtail.core import Seed, SimplexWeights, Trajectory
 from trajtail.ft import (
     MASS_FLOOR,
     SubgradientOptions,
@@ -342,6 +343,24 @@ class TestSmoothedMaxStep:
         est = estimate_gamma2(pts, rho)
         assert est.method == "subgradient"
         assert est.value <= 1.65, est.value
+
+    # Figure-1 cells at seed 2024, keyed by (arm, replicate): the values that plain
+    # gradient steps (no momentum) reached at 50 float32 iterations, the study
+    # budget before the accelerated descent.
+    PLAIN_DESCENT_50 = {
+        ("stable", 0): 1.6415174899739555,
+        ("stable", 1): 1.6699408294399323,
+        ("gaussian", 0): 1.8966466070619181,
+        ("gaussian", 1): 1.6116658458589184,
+    }
+
+    def test_figure1_cells_beat_plain_descent_at_half_the_budget(self):
+        params = experiments.StudySpec("figure1_ordering").resolved_params()
+        assert params["ft_iterations"] <= 25
+        base = Seed(2024)
+        for (arm, rep), plain in self.PLAIN_DESCENT_50.items():
+            value = experiments._cell_figure1(arm, base.spawn(("stable", "gaussian").index(arm), rep), params)["gamma2"]
+            assert value <= plain, (arm, rep, value, plain)
 
 
 class TestBruteForce:
