@@ -344,23 +344,21 @@ class TestSmoothedMaxStep:
         assert est.method == "subgradient"
         assert est.value <= 1.65, est.value
 
-    # Figure-1 cells at seed 2024, keyed by (arm, replicate): the values that plain
+    # Figure-1 cells at seed 2024, per arm and replicate: the values that plain
     # gradient steps (no momentum) reached at 50 float32 iterations, the study
     # budget before the accelerated descent.
     PLAIN_DESCENT_50 = {
-        ("stable", 0): 1.6415174899739555,
-        ("stable", 1): 1.6699408294399323,
-        ("gaussian", 0): 1.8966466070619181,
-        ("gaussian", 1): 1.6116658458589184,
+        "stable": (1.6415174899739555, 1.6699408294399323),
+        "gaussian": (1.8966466070619181, 1.6116658458589184),
     }
 
     def test_figure1_cells_beat_plain_descent_at_half_the_budget(self):
-        params = experiments.StudySpec("figure1_ordering").resolved_params()
+        grid, _, cell, params = experiments._study_plan(experiments.StudySpec("figure1_ordering"))
         assert params["ft_iterations"] <= 25
-        base = Seed(2024)
-        for (arm, rep), plain in self.PLAIN_DESCENT_50.items():
-            value = experiments._cell_figure1(arm, base.spawn(("stable", "gaussian").index(arm), rep), params)["gamma2"]
-            assert value <= plain, (arm, rep, value, plain)
+        for gi, arm in enumerate(grid):
+            for rep, plain in enumerate(self.PLAIN_DESCENT_50[arm]):
+                value = cell(arm, Seed(2024).spawn(gi, rep), params)["gamma2"]
+                assert value <= plain, (arm, rep, value, plain)
 
 
 class TestBruteForce:
