@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateDataError
+from .errors import DegenerateDataError
 from .exponents import BallMassCurve
 
 __all__ = [
@@ -26,9 +26,9 @@ __all__ = [
     "gauss_radial_bounds_check",
 ]
 
-# j_integral's relative error budget: the quadrature must estimate its error below this.
-J_REL_TOL = 1e-6
-GAUSS_CHECK_SLACK = 1e-10
+# gauss_radial_bounds_check's slack on each side, relative to the largest log it
+# compares: a few ulps, the rounding of those logs.
+GAUSS_CHECK_SLACK = 16 * np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -126,76 +126,66 @@ def kernel_functional(curve: BallMassCurve, rho: float, dim: int) -> float:
     return float(np.trapezoid(eval_f, eval_r) / rho)
 
 
-def _quad(func, a: float, b: float, **kwargs) -> tuple[float, float]:
-    """``scipy.integrate.quad``, imported on first use: only the bound commands integrate."""
-    from scipy import integrate
+def _log_i(s: float, x: float) -> float:
+    """log I(s, x), where I(s, x) = int_0^1 v^(s-1) exp(-x v) dv = 1F1(s; s+1; -x) / s.
 
-    return integrate.quad(func, a, b, **kwargs)
-
-
-def _inner_v_integral(b_times_s: float, dim: int) -> float:
-    """integral_0^1 v^(dim/2 - 1) exp(-b_times_s * v) dv by adaptive quadrature.
-
-    For dim < 2 the integrand is singular at v = 0; the substitution
-    v = u^(2/dim) makes it smooth.  For dim >= 2 the algebraic endpoint
-    weight is handled directly.
+    Below x = s, Kummer's transformation I = exp(-x) 1F1(1; s+1; x) / s sums
+    positive terms; from x = s on, I = gamma(s, x) / x^s, whose regularized
+    lower incomplete gamma is at least about one half.  (scipy's 1F1(s; s+1; -x)
+    itself is off by up to 7e-11 relative there.)  In logs, neither form
+    underflows or overflows before the caller combines it.
     """
-    if dim < 2:
-        p = 2.0 / dim
-        val, _ = _quad(
-            lambda u: np.exp(-b_times_s * u**p), 0.0, 1.0, epsabs=1e-15, epsrel=1e-11, limit=200
-        )
-        return (2.0 / dim) * val
-    val, _ = _quad(
-        lambda v: np.exp(-b_times_s * v),
-        0.0,
-        1.0,
-        weight="alg",
-        wvar=(dim / 2.0 - 1.0, 0.0),
-        epsabs=1e-15,
-        epsrel=1e-11,
-        limit=200,
-    )
-    return val
+    from scipy import special  # imported on first use: only the bound commands need it
+
+    if x < s:
+        return float(np.log(special.hyp1f1(1.0, s + 1.0, x) / s) - x)
+    return float(special.gammaln(s) + np.log(special.gammainc(s, x)) - s * np.log(x))
+
+
+def _finite_positive(name: str, value: float) -> float:
+    if not 0.0 < value < np.inf:
+        raise DegenerateDataError(f"{name} = {value} lies outside the float64 range")
+    return float(value)
 
 
 def j_integral(a: float, horizon: float, rho: float, dim: int) -> float:
-    """Nested adaptive quadrature of the double integral
+    """The double integral
 
-        (1/T) * int_0^1 int_{1/T}^inf v^(D/2-1) s^(D/2-2) exp(-a s v rho^2) ds dv
+        J = (1/T) * int_0^1 int_{1/T}^inf v^(D/2-1) s^(D/2-2) exp(-a s v rho^2) ds dv
 
-    evaluated with the order of integration exchanged (v inside) so the v = 0
-    singularity is handled once, by the substitution v = u^(2/D).
+    in closed form.  With b = a rho^2, c = b/T and s = D/2,
 
-    With b = a rho^2, c = b/T and s = D/2 the integral has the closed form
+        J = (b^(1-s) / T) * [gamma(s, c) / c + Gamma(s-1, c)]
+          = T^(-s) * I(s, c) + b^(1-s) * Gamma(s-1, c) / T,
 
-        J = (b^(1-s) / T) * [gamma(s, c) / c + Gamma(s-1, c)],
+    where gamma and Gamma are the lower and upper incomplete gamma functions
+    and I is the inner v integral (see ``_log_i``).  The second term is
+    T^(-s) exp(-c) U(1, s, c) for s <= 1 (Tricomi's U; Gamma(0, c) = E1(c)),
+    and is summed in logs from the regularized Gamma(s-1, c) for s > 1, so
+    that neither T^(-s) nor b^(1-s) overflows on its own.  A J outside the
+    float64 range raises ``DegenerateDataError``.
 
-    where gamma and Gamma are the lower and upper incomplete gamma
-    functions (Gamma(0, c) = E1(c)).  J decreases in ``a`` but is not
-    monotone in D: J(1, 1, 1, D) = 1.672, 0.852, 0.658, 0.632 for D = 1..4,
-    while for b < 1 the factor b^(1-D/2) can make it rise, as in
-    J(0.5, 1, 0.5, D) = 2.911, 2.563, 3.712, 7.520.
+    J decreases in ``a`` but is not monotone in D: J(1, 1, 1, D) = 1.672,
+    0.852, 0.658, 0.632 for D = 1..4, while for b < 1 the factor b^(1-D/2)
+    can make it rise, as in J(0.5, 1, 0.5, D) = 2.911, 2.563, 3.712, 7.520.
     """
+    from scipy import special
+
     if not (a > 0 and horizon > 0 and rho > 0):
         raise ValueError("a, horizon and rho must be positive")
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     b = a * rho * rho
-    exponent = dim / 2.0 - 2.0
-    value, err = _quad(
-        lambda s: s**exponent * _inner_v_integral(b * s, dim),
-        1.0 / horizon,
-        np.inf,
-        epsabs=0.0,
-        epsrel=J_REL_TOL / 4.0,
-        limit=400,
-    )
-    value /= horizon
-    err /= horizon
-    if not np.isfinite(value) or err > J_REL_TOL * abs(value):
-        raise ConvergenceError(f"quadrature error estimate {err:.3e} exceeds {J_REL_TOL:.0e} * |J|")
-    return float(value)
+    c = b / horizon
+    s = dim / 2.0
+    with np.errstate(divide="ignore", over="ignore"):
+        if s <= 1.0:
+            log_tail = np.log(special.hyperu(1.0, s, c)) - c
+        else:
+            log_tail = (1.0 - s) * np.log(c) + special.gammaln(s - 1.0) + np.log(special.gammaincc(s - 1.0, c))
+        log_t = s * np.log(horizon)
+        value = np.exp(_log_i(s, c) - log_t) + np.exp(log_tail - log_t)
+    return _finite_positive("J", value)
 
 
 @dataclass(frozen=True)
@@ -211,8 +201,12 @@ class GaussRadialBounds:
 def gauss_radial_bounds_check(a: float, r: float, rho: float, dim: int) -> GaussRadialBounds:
     """Verify (r^D / 2) * I_rho(a, D) <= int_0^r u^(D-1) e^(-a u^2) du <= r^D / D.
 
-    The radial integral and I_rho are both computed by adaptive quadrature;
-    ``holds`` allows ``GAUSS_CHECK_SLACK`` of absolute tolerance on each side.
+    Substituting u = r sqrt(v) makes the radial integral (r^D / 2) I(D/2, a r^2),
+    and I_rho(a, D) is I(D/2, a rho^2) (see ``_log_i``).  With the common
+    factor r^D / 2 divided out, the sandwich reads I(s, a rho^2) <= I(s, a r^2)
+    <= 1/s; ``holds`` compares the logs of these, allowing only their rounding:
+    ``GAUSS_CHECK_SLACK`` times the largest log magnitude.  A side outside the
+    float64 range raises ``DegenerateDataError``.
     """
     if not (a > 0 and r > 0 and rho > 0):
         raise ValueError("a, r and rho must be positive")
@@ -220,11 +214,15 @@ def gauss_radial_bounds_check(a: float, r: float, rho: float, dim: int) -> Gauss
         raise ValueError(f"r must not exceed rho, got r={r} > rho={rho}")
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    radial, _ = _quad(
-        lambda u: u ** (dim - 1) * np.exp(-a * u * u), 0.0, r, epsabs=1e-14, epsrel=1e-12, limit=200
+    s = dim / 2.0
+    log_i_r, log_i_rho = _log_i(s, a * r * r), _log_i(s, a * rho * rho)
+    slack = GAUSS_CHECK_SLACK * max(1.0, abs(log_i_r), abs(log_i_rho), abs(np.log(s)))
+    holds = log_i_rho <= log_i_r + slack and log_i_r <= slack - np.log(s)
+    with np.errstate(over="ignore", under="ignore"):
+        r_d = np.float64(r) ** dim
+    return GaussRadialBounds(
+        _finite_positive("the radial integral", r_d / 2.0 * np.exp(log_i_r)),
+        _finite_positive("the lower bound", r_d / 2.0 * np.exp(log_i_rho)),
+        _finite_positive("the upper bound", r_d / dim),
+        bool(holds),
     )
-    i_rho = _inner_v_integral(a * rho * rho, dim)
-    lower = r**dim / 2.0 * i_rho
-    upper = r**dim / dim
-    holds = (lower <= radial + GAUSS_CHECK_SLACK) and (radial <= upper + GAUSS_CHECK_SLACK)
-    return GaussRadialBounds(float(radial), float(lower), float(upper), bool(holds))

@@ -427,8 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("gamma2", help="estimate the normalized functional")
     sub.add_argument("--rho", type=_positive_float, default=None)
-    sub.add_argument("--loss-bound", type=float, default=None)
-    sub.add_argument("--lipschitz", type=float, default=None)
+    sub.add_argument("--loss-bound", type=_positive_float, default=None)
+    sub.add_argument("--lipschitz", type=_positive_float, default=None)
     sub.add_argument("--seed", type=int, default=0)
     _add_ft_flags(sub)
     _common_flags(sub, needs_input=True)
@@ -473,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument("--loss-bound", type=float, default=1.0)
     sub.add_argument("--lipschitz", type=float, default=1.0)
-    sub.add_argument("--rho", type=float, default=1.0)
+    sub.add_argument("--rho", type=_positive_float, default=1.0)
     sub.add_argument("--n", type=int, default=100)
     sub.add_argument("--delta", type=float, default=0.05)
     sub.add_argument("--gamma2", type=float, default=0.0)
@@ -485,10 +485,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--alpha", type=float, default=1.0)
     sub.add_argument("--c-rho", type=float, default=1.0)
     sub.add_argument("--curve", default=None, help="CSV with radius,mass columns")
-    sub.add_argument("--dim", type=int, default=2)
-    sub.add_argument("--a", type=float, default=1.0)
-    sub.add_argument("--horizon", type=float, default=1.0)
-    sub.add_argument("--r", type=float, default=0.5)
+    sub.add_argument("--dim", type=_positive_int, default=2)
+    sub.add_argument("--a", type=_positive_float, default=1.0)
+    sub.add_argument("--horizon", type=_positive_float, default=1.0)
+    sub.add_argument("--r", type=_positive_float, default=0.5)
     _common_flags(sub)
     sub.set_defaults(func=cmd_bound)
 

@@ -2,7 +2,7 @@
 
 Argument-contract violations raise plain ``ValueError``; everything that is a
 property of the *data* (malformed files, too few samples, degenerate inputs,
-quadrature that did not converge) derives from :class:`DataError` so the CLI
+a value outside the float64 range) derives from :class:`DataError` so the CLI
 can map it to a distinct exit code.
 """
 
@@ -29,7 +29,3 @@ class InsufficientDataError(DataError):
 
 class DegenerateDataError(DataError):
     """Input is degenerate for the requested estimator (e.g. zero spread)."""
-
-
-class ConvergenceError(DataError):
-    """An iterative or adaptive routine missed its tolerance budget."""

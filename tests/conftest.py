@@ -17,3 +17,21 @@ def write_trajectory(tmp_path):
         return path
 
     return _write
+
+
+@pytest.fixture
+def j_reference():
+    """``J(a, T, rho, D)`` to 40 digits, from mpmath's incomplete gamma functions.
+
+    With b = a rho^2, c = b/T and s = D/2, J = (b^(1-s)/T) * [gamma(s, c)/c + Gamma(s-1, c)].
+    """
+    import mpmath
+
+    def reference(a, horizon, rho, dim):
+        with mpmath.workdps(40):
+            b = mpmath.mpf(a) * mpmath.mpf(rho) ** 2
+            c = b / horizon
+            s = mpmath.mpf(dim) / 2
+            return float(b ** (1 - s) / horizon * (mpmath.gammainc(s, 0, c) / c + mpmath.gammainc(s - 1, c)))
+
+    return reference

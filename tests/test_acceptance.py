@@ -10,10 +10,8 @@ import time
 
 import numpy as np
 import pytest
-from scipy import special
 
 from trajtail.bounds import (
-    J_REL_TOL,
     BoundInputs,
     corollary1_bound,
     gauss_radial_bounds_check,
@@ -213,31 +211,7 @@ def _riemann_j_oracle(a, horizon, rho, dim, nv=1000, ns=1000, v_eps=1e-12):
     return total / horizon
 
 
-def _upper_gamma(s, c):
-    """Upper incomplete gamma Gamma(s, c) for s > -1, including s <= 0."""
-    if s > 0:
-        return special.gamma(s) * special.gammaincc(s, c)
-    if s == 0:
-        return special.exp1(c)
-    # Gamma(s+1, c) = s Gamma(s, c) + c^s e^-c
-    return (_upper_gamma(s + 1, c) - c**s * np.exp(-c)) / s
-
-
-def _j_closed_form(a, horizon, rho, dim):
-    """Independent closed form of ``j_integral`` via incomplete gamma functions.
-
-    With b = a rho^2, c = b/T and s = D/2 the v integral is
-    (b s')^-s gamma(s, b s'); substituting x = b s' and integrating by parts
-    gives J = (b^(1-s)/T) * [gamma(s, c)/c + Gamma(s-1, c)].
-    """
-    b = a * rho * rho
-    c = b / horizon
-    s = dim / 2.0
-    lower = special.gamma(s) * special.gammainc(s, c)
-    return b ** (1.0 - s) / horizon * (lower / c + _upper_gamma(s - 1.0, c))
-
-
-def test_c11_special_functions():
+def test_c11_special_functions(j_reference):
     value = j_integral(1.0, 1.0, 1.0, 2)
     oracle = _riemann_j_oracle(1.0, 1.0, 1.0, 2)
     riemann_ok = abs(value - oracle) <= 1e-4 * abs(oracle)
@@ -257,19 +231,19 @@ def test_c11_special_functions():
     print(f"[criterion 11b] {'PASS' if a_ok else 'FAIL'} monotone decreasing in a")
 
     rel_err = {
-        (a, d, t, r): abs(v / _j_closed_form(a, t, r, d) - 1.0)
+        (a, d, t, r): abs(v / j_reference(a, t, r, d) - 1.0)
         for (a, d, t, r), v in table.items()
     }
     worst_key = max(rel_err, key=rel_err.get)
-    closed_ok = rel_err[worst_key] <= J_REL_TOL
+    closed_ok = rel_err[worst_key] <= 1e-9
     # J is not monotone in D: at b = a rho^2 = 1 it falls with D, at b = 1/8
     # it rises from D = 2 on because the prefactor b^(1-D/2) grows with D.
     unit = [table[(1.0, d, 1.0, 1.0)] for d in grid_d]
     small_b = [table[(0.5, d, 1.0, 0.5)] for d in grid_d]
     unit_ok = np.allclose(unit, [1.6718, 0.8515, 0.6578, 0.6321], rtol=0.0, atol=5e-5)
     d_ok = bool(np.all(np.diff(unit) < 0) and np.all(np.diff(small_b[1:]) > 0))
-    print(f"[criterion 11c] {'PASS' if closed_ok and unit_ok and d_ok else 'FAIL'} incomplete-gamma "
-          f"closed form on {len(table)} grid points (worst rel err {rel_err[worst_key]:.1e}); "
+    print(f"[criterion 11c] {'PASS' if closed_ok and unit_ok and d_ok else 'FAIL'} mpmath "
+          f"reference on {len(table)} grid points (worst rel err {rel_err[worst_key]:.1e}); "
           f"not monotone in D: J(1,1,1,D)={np.round(unit, 4).tolist()}, "
           f"J(0.5,1,0.5,D)={np.round(small_b, 3).tolist()}")
 
@@ -286,7 +260,7 @@ def test_c11_special_functions():
     ok = riemann_ok and a_ok and closed_ok and unit_ok and d_ok and gauss_ok
     _criterion(11, "special functions", ok)
     assert riemann_ok and a_ok and gauss_ok
-    assert closed_ok, f"closed form off by {rel_err[worst_key]:.2e} (relative) at (a, D, T, rho)={worst_key}"
+    assert closed_ok, f"J off the mpmath reference by {rel_err[worst_key]:.2e} (relative) at (a, D, T, rho)={worst_key}"
     assert unit_ok and d_ok, f"J(1,1,1,D)={unit}, J(0.5,1,0.5,D)={small_b}"
 
 

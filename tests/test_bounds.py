@@ -1,3 +1,6 @@
+import itertools
+
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -132,6 +135,15 @@ class TestJIntegral:
         with pytest.raises(ValueError):
             j_integral(1.0, 1.0, 1.0, 0)
 
+    def test_matches_mpmath_on_grid(self, j_reference):
+        grid = itertools.product(
+            (0.01, 0.5, 1.0, 4.0, 100.0), (0.1, 1.0, 10.0, 1000.0), (0.1, 0.5, 1.0, 3.0), (1, 2, 3, 4, 7, 10, 33, 100)
+        )
+        for a, horizon, rho, dim in grid:
+            value = j_integral(a, horizon, rho, dim)
+            assert 0.0 < value < np.inf
+            assert value == pytest.approx(j_reference(a, horizon, rho, dim), rel=1e-9), (a, horizon, rho, dim)
+
 
 class TestGaussRadialBounds:
     def test_small_a_limit_hits_upper_bound(self):
@@ -154,9 +166,17 @@ class TestGaussRadialBounds:
             gauss_radial_bounds_check(1.0, 2.0, 1.0, 2)
 
     def test_random_parameter_grid(self, rng):
-        for _ in range(20):
-            a = 10.0 ** rng.uniform(-2, 2)
+        def radial(a, r, dim):  # (r^D / 2) gamma(s, a r^2) / (a r^2)^s, s = D/2
+            with mpmath.workdps(40):
+                x, s = mpmath.mpf(a) * mpmath.mpf(r) ** 2, mpmath.mpf(dim) / 2
+                return float(mpmath.mpf(r) ** dim / 2 * mpmath.gammainc(s, 0, x) / x**s)
+
+        for _ in range(300):
+            a = 10.0 ** rng.uniform(-3, 3)
             rho = 10.0 ** rng.uniform(-1, 1)
             r = rho * rng.uniform(0.05, 1.0)
-            dim = int(rng.integers(1, 6))
-            assert gauss_radial_bounds_check(a, r, rho, dim).holds
+            dim = int(rng.integers(1, 61))
+            check = gauss_radial_bounds_check(a, r, rho, dim)
+            assert check.holds, (a, r, rho, dim)
+            assert check.integral == pytest.approx(radial(a, r, dim), rel=1e-9)
+            assert check.lower == pytest.approx(radial(a, rho, dim) * (r / rho) ** dim, rel=1e-9)

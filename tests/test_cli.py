@@ -81,6 +81,7 @@ class TestExitCodes:
             ("ballmass", "--input", "nope.csv", "--lags", "0,1"),
             ("stable-index", "--input", "nope.csv", "--layer-sizes", "2,0"),
             ("study", "--name", "gaussian-dimension", "--replicates", "1", "--param", "steps=300", "--threads", "0"),
+            ("bound", "--form", "j-integral", "--dim", "0"),
         ],
     )
     def test_non_positive_count_rejected_at_parse(self, capsys, tmp_path, monkeypatch, argv):
@@ -123,6 +124,14 @@ class TestExitCodes:
             (("ballmass", "--input", "nope.csv", "--window", "0.1,1"), "argument --window: expected 0 < lo < hi < 1"),
             (("analyze", "--input", "nope.csv", "--mass-window", "0.1,1"),
              "argument --mass-window: expected 0 < lo < hi < 1"),
+            (("gamma2", "--input", "nope.csv", "--loss-bound", "-1", "--lipschitz", "1"),
+             "argument --loss-bound: expected a positive number"),
+            (("gamma2", "--input", "nope.csv", "--loss-bound", "1", "--lipschitz", "0"),
+             "argument --lipschitz: expected a positive number"),
+            (("bound", "--form", "corollary1", "--rho", "0"), "argument --rho: expected a positive number"),
+            (("bound", "--form", "j-integral", "--a", "-1"), "argument --a: expected a positive number"),
+            (("bound", "--form", "j-integral", "--horizon", "0"), "argument --horizon: expected a positive number"),
+            (("bound", "--form", "gauss-check", "--r", "nan"), "argument --r: expected a positive number"),
         ],
     )
     def test_count_and_range_flags_rejected_before_any_work(self, capsys, tmp_path, monkeypatch, argv, message):
@@ -290,8 +299,8 @@ def _run_module(*argv: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
 
 
-def test_import_leaves_scipy_integrate_unloaded():
-    """Only the bound calculators integrate, and nothing else uses scipy: importing the CLI loads none of it."""
+def test_import_loads_no_scipy():
+    """Only the bound calculators use scipy (``scipy.special``, on first use): importing the CLI loads none of it."""
     probe = "import sys, trajtail.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     out = _run_module("-c", probe)
     assert out.returncode == 0, out.stderr
@@ -489,6 +498,34 @@ class TestBoundCommand:
         assert code == 0 and parse(out)["value"] > 0
         code, out, _ = run_cli(capsys, "bound", "--form", "gauss-check", "--a", "1", "--r", "0.5", "--rho", "1", "--dim", "2")
         assert code == 0 and parse(out)["holds"] is True
+
+    @pytest.mark.parametrize(
+        "a, horizon, rho, dim",
+        [("100", "1", "1", "2"), ("100", "10", "3", "10"), ("0.01", "0.1", "0.1", "100"), ("0.01", "0.1", "0.1", "7")],
+    )
+    def test_j_integral_matches_mpmath(self, capsys, j_reference, a, horizon, rho, dim):
+        # a nested quadrature once got these wrong, negative, overflowing and unconverged, in this order
+        code, out, err = run_cli(
+            capsys, "bound", "--form", "j-integral", "--a", a, "--horizon", horizon, "--rho", rho, "--dim", dim
+        )
+        assert code == 0 and err == ""
+        expected = j_reference(float(a), float(horizon), float(rho), int(dim))
+        assert parse(out)["value"] == pytest.approx(expected, rel=1e-9)
+
+    def test_gauss_check_below_old_absolute_slack(self, capsys):
+        code, out, err = run_cli(
+            capsys, "bound", "--form", "gauss-check", "--a", "205.3", "--r", "9.506", "--rho", "9.963", "--dim", "24"
+        )
+        doc = parse(out)
+        assert code == 0 and err == "" and doc["holds"] is True
+        assert doc["integral"] == pytest.approx(3.560068299348808e-21, rel=1e-12)  # mpmath, 40 digits
+
+    def test_j_beyond_float64_range_is_data_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "bound", "--form", "j-integral", "--a", "1e-10", "--horizon", "1", "--rho", "1e-3", "--dim", "100"
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: J = inf lies outside the float64 range")
 
     def test_kernel_from_curve_file(self, capsys, tmp_path):
         curve = tmp_path / "curve.csv"
