@@ -1,7 +1,6 @@
 """Trajectory geometry and tail-exponent diagnostics for stochastic optimizers."""
 
 from .core import (
-    IncrementSeries,
     RadiusGrid,
     Seed,
     SimplexWeights,

@@ -29,6 +29,8 @@ __all__ = [
 # gauss_radial_bounds_check's slack on each side, relative to the largest log it
 # compares: a few ulps, the rounding of those logs.
 GAUSS_CHECK_SLACK = 16 * np.finfo(np.float64).eps
+# exp(-c) is 0 in float64 above this c.
+_EXP_UNDERFLOW = -np.log(np.finfo(np.float64).smallest_subnormal)
 
 
 @dataclass(frozen=True)
@@ -126,26 +128,43 @@ def kernel_functional(curve: BallMassCurve, rho: float, dim: int) -> float:
     return float(np.trapezoid(eval_f, eval_r) / rho)
 
 
-def _log_i(s: float, x: float) -> float:
+def _log_i(s: float, x: float, log_x: float) -> float:
     """log I(s, x), where I(s, x) = int_0^1 v^(s-1) exp(-x v) dv = 1F1(s; s+1; -x) / s.
 
     Below x = s, Kummer's transformation I = exp(-x) 1F1(1; s+1; x) / s sums
     positive terms; from x = s on, I = gamma(s, x) / x^s, whose regularized
     lower incomplete gamma is at least about one half.  (scipy's 1F1(s; s+1; -x)
     itself is off by up to 7e-11 relative there.)  In logs, neither form
-    underflows or overflows before the caller combines it.
+    underflows or overflows before the caller combines it.  ``log_x`` is
+    log x, which stays finite where x has overflowed to inf.
     """
     from scipy import special  # imported on first use: only the bound commands need it
 
     if x < s:
         return float(np.log(special.hyp1f1(1.0, s + 1.0, x) / s) - x)
-    return float(special.gammaln(s) + np.log(special.gammainc(s, x)) - s * np.log(x))
+    return float(special.gammaln(s) + np.log(special.gammainc(s, x)) - s * log_x)
 
 
 def _finite_positive(name: str, value: float) -> float:
     if not 0.0 < value < np.inf:
         raise DegenerateDataError(f"{name} = {value} lies outside the float64 range")
     return float(value)
+
+
+def _scaled_square(a: float, r: float, t: float) -> tuple[float, float]:
+    """x = a r^2 / t and log x, the log exact to rounding where x over- or underflows float64.
+
+    The mantissas are multiplied and the binary exponents added apart, so x
+    is the plain product wherever it and the products before it are normal
+    floats.
+    """
+    (ma, ea), (mr, er), (mt, et) = np.frexp(a), np.frexp(r), np.frexp(t)
+    m, e = ma * mr * mr / mt, ea + 2 * er - et
+    with np.errstate(over="ignore", under="ignore"):
+        x = float(np.ldexp(m, e))
+    if np.finfo(np.float64).tiny <= x < np.inf:
+        return x, float(np.log(x))
+    return x, float(np.log(m) + e * np.log(2.0))
 
 
 def j_integral(a: float, horizon: float, rho: float, dim: int) -> float:
@@ -156,14 +175,17 @@ def j_integral(a: float, horizon: float, rho: float, dim: int) -> float:
     in closed form.  With b = a rho^2, c = b/T and s = D/2,
 
         J = (b^(1-s) / T) * [gamma(s, c) / c + Gamma(s-1, c)]
-          = T^(-s) * I(s, c) + b^(1-s) * Gamma(s-1, c) / T,
+          = T^(-s) * I(s, c) + T^(-s) * c^(1-s) * Gamma(s-1, c),
 
     where gamma and Gamma are the lower and upper incomplete gamma functions
     and I is the inner v integral (see ``_log_i``).  The second term is
     T^(-s) exp(-c) U(1, s, c) for s <= 1 (Tricomi's U; Gamma(0, c) = E1(c)),
     and is summed in logs from the regularized Gamma(s-1, c) for s > 1, so
-    that neither T^(-s) nor b^(1-s) overflows on its own.  A J outside the
-    float64 range raises ``DegenerateDataError``.
+    that neither T^(-s) nor c^(1-s) overflows on its own.  Every power of c
+    is taken from log c, which is exact where c itself leaves the float64
+    range (see ``_scaled_square``); below that range E1(c) = -euler_gamma -
+    log c to within c, and for s <= 1 the second term is dropped once exp(-c)
+    underflows.  A J outside the float64 range raises ``DegenerateDataError``.
 
     J decreases in ``a`` but is not monotone in D: J(1, 1, 1, D) = 1.672,
     0.852, 0.658, 0.632 for D = 1..4, while for b < 1 the factor b^(1-D/2)
@@ -175,16 +197,20 @@ def j_integral(a: float, horizon: float, rho: float, dim: int) -> float:
         raise ValueError("a, horizon and rho must be positive")
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    b = a * rho * rho
-    c = b / horizon
+    c, log_c = _scaled_square(a, rho, horizon)
     s = dim / 2.0
     with np.errstate(divide="ignore", over="ignore"):
-        if s <= 1.0:
-            log_tail = np.log(special.hyperu(1.0, s, c)) - c
+        if s > 1.0:
+            log_tail = (1.0 - s) * log_c + special.gammaln(s - 1.0) + np.log(special.gammaincc(s - 1.0, c))
+        elif c > _EXP_UNDERFLOW:
+            # below the rounding of the first term, c^(s-1) exp(-c) / Gamma(s) in relative size
+            log_tail = -np.inf
+        elif s == 1.0 and c < np.finfo(np.float64).tiny:
+            log_tail = np.log(-np.euler_gamma - log_c)
         else:
-            log_tail = (1.0 - s) * np.log(c) + special.gammaln(s - 1.0) + np.log(special.gammaincc(s - 1.0, c))
+            log_tail = np.log(special.hyperu(1.0, s, c)) - c
         log_t = s * np.log(horizon)
-        value = np.exp(_log_i(s, c) - log_t) + np.exp(log_tail - log_t)
+        value = np.exp(_log_i(s, c, log_c) - log_t) + np.exp(log_tail - log_t)
     return _finite_positive("J", value)
 
 
@@ -215,7 +241,7 @@ def gauss_radial_bounds_check(a: float, r: float, rho: float, dim: int) -> Gauss
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     s = dim / 2.0
-    log_i_r, log_i_rho = _log_i(s, a * r * r), _log_i(s, a * rho * rho)
+    log_i_r, log_i_rho = _log_i(s, *_scaled_square(a, r, 1.0)), _log_i(s, *_scaled_square(a, rho, 1.0))
     slack = GAUSS_CHECK_SLACK * max(1.0, abs(log_i_r), abs(log_i_rho), abs(np.log(s)))
     holds = log_i_rho <= log_i_r + slack and log_i_r <= slack - np.log(s)
     with np.errstate(over="ignore", under="ignore"):

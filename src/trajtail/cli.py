@@ -119,10 +119,10 @@ def _radius_grid(args, values: np.ndarray, lo: float, hi: float, rho: float | No
     With ``rho`` and no positive value (one point, or all points equal) the grid is ``[rho]``.
     """
     if getattr(args, "radii_min", None) is not None:
-        return core.RadiusGrid.geometric(args.radii_min, args.radii_max, args.radii_num, rho)
+        return core.RadiusGrid.geometric(args.radii_min, args.radii_max, args.radii_num)
     if rho is not None and not np.any(values > 0):
-        return core.RadiusGrid(np.array([rho]), rho)
-    return core.RadiusGrid.from_quantiles(values, np.geomspace(lo, hi, args.radii_num), rho)
+        return core.RadiusGrid(np.array([rho]))
+    return core.RadiusGrid.from_quantiles(values, np.geomspace(lo, hi, args.radii_num))
 
 
 def _from_flags(cls, args, **given):
@@ -172,7 +172,7 @@ def cmd_tail_fit(args) -> dict:
 
 def cmd_stable_index(args) -> dict:
     trajectory = core.load_trajectory(args.input, args.has_header)
-    deltas = core.increments(trajectory, 1).deltas
+    deltas = core.increments(trajectory, 1)
     if args.layer_sizes is not None:
         sizes = list(args.layer_sizes)
         if sum(sizes) != trajectory.dim:
@@ -207,7 +207,7 @@ def _attempt(report: dict, key: str, fn) -> None:
 def cmd_ballmass(args) -> dict:
     trajectory = core.load_trajectory(args.input, args.has_header)
     lags = args.lags
-    norms = core.increments(trajectory, min(lags)).norms()
+    norms = np.linalg.norm(core.increments(trajectory, min(lags)), axis=1)
     grid = _radius_grid(args, norms, args.level_lo, args.level_hi)
     curve = exponents.ball_mass_curve(trajectory, lags, grid, mode=args.mode)
     report: dict = {"command": "ballmass", "lags": lags, "mode": args.mode, "n_radii": len(grid)}
@@ -229,7 +229,7 @@ def cmd_kfunction(args) -> dict:
 def cmd_cover(args) -> dict:
     trajectory = core.load_trajectory(args.input, args.has_header)
     grid = _radius_grid(args, trajectory.pair_distances(), args.level_lo, 1.0, args.rho)
-    profile = spatial.covering_numbers(trajectory, grid)
+    profile = spatial.covering_numbers(trajectory, grid, args.rho)
     _write_curve(args, "cover", grid.radii, profile.counts, "radius,count")
     return {
         "command": "cover",
@@ -240,14 +240,13 @@ def cmd_cover(args) -> dict:
     }
 
 
-def _load_mass_curve(path: str, rho: float) -> exponents.BallMassCurve:
+def _load_mass_curve(path: str) -> exponents.BallMassCurve:
     """The curve in a ``radius,mass`` CSV; a file that holds no valid curve is a data error."""
     rows = core.load_trajectory(path, has_header=True).points
     if rows.shape[1] != 2:
         raise TrajectoryFormatError(f"{path}: expected 2 columns (radius,mass), got {rows.shape[1]}")
     try:
-        grid = core.RadiusGrid(rows[:, 0], max(rho, rows[-1, 0]))
-        return exponents.BallMassCurve(grid, rows[:, 1], (1,))
+        return exponents.BallMassCurve(core.RadiusGrid(rows[:, 0]), rows[:, 1])
     except ValueError as exc:
         raise TrajectoryFormatError(f"{path}: {exc}") from None
 
@@ -268,7 +267,7 @@ def cmd_bound(args) -> dict:
     elif args.form == "kernel":
         if args.curve is None:
             raise ValueError("--curve is required for the kernel functional")
-        report["value"] = bounds_mod.kernel_functional(_load_mass_curve(args.curve, args.rho), args.rho, args.dim)
+        report["value"] = bounds_mod.kernel_functional(_load_mass_curve(args.curve), args.rho, args.dim)
     elif args.form == "j-integral":
         report["value"] = bounds_mod.j_integral(args.a, args.horizon, args.rho, args.dim)
     else:  # gauss-check
@@ -296,7 +295,7 @@ def cmd_study(args) -> dict:
         "verdicts": result.verdicts,
         "diagnostics": result.diagnostics,
         "seed": args.seed,
-        "config": {"name": name, "replicates": spec.resolved_replicates()},
+        "config": {"name": name, "replicates": spec.replicates},
     }
 
 
@@ -335,12 +334,12 @@ def cmd_analyze(args) -> dict:
     steps = core.increments(trajectory, 1)
 
     def ball_exponent():
-        grid = _radius_grid(args, steps.norms(), args.level_lo, args.level_hi)
+        grid = _radius_grid(args, np.linalg.norm(steps, axis=1), args.level_lo, args.level_hi)
         curve = exponents.ball_mass_curve(trajectory, (1,), grid)
         return exponents.exponent_from_ball_mass(curve, window=args.mass_window)
 
     _attempt(report, "ball_mass_exponent", ball_exponent)
-    _attempt(report, "stable_index", lambda: exponents.stable_index(steps.deltas.ravel(), args.block_size).alpha_hat)
+    _attempt(report, "stable_index", lambda: exponents.stable_index(steps.ravel(), args.block_size).alpha_hat)
 
     def k_slope():
         grid = _radius_grid(args, trajectory.pair_distances(), args.level_lo, args.level_hi)
@@ -349,7 +348,8 @@ def cmd_analyze(args) -> dict:
     _attempt(report, "k_function_slope", k_slope)
 
     def dudley():
-        profile = spatial.covering_numbers(ft_input, _radius_grid(args, ft_input.pair_distances(), 0.01, 1.0, rho))
+        grid = _radius_grid(args, ft_input.pair_distances(), 0.01, 1.0, rho)
+        profile = spatial.covering_numbers(ft_input, grid, rho)
         dominates = spatial.dudley_dominates(est.value, profile)
         if not dominates:
             log.warning("entropy-integral diagnostic violated: gamma2=%.4f dudley=%.4f", est.value, profile.dudley_value)
@@ -435,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_gamma2)
 
     sub = subs.add_parser("tail-fit", help="power-law fit of reciprocal step norms")
-    sub.add_argument("--x-min", type=float, default=None)
+    sub.add_argument("--x-min", type=_positive_float, default=None)
     _common_flags(sub, needs_input=True)
     sub.set_defaults(func=cmd_tail_fit)
 

@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import io
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Sequence
+from typing import BinaryIO, Callable, Sequence
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .errors import (
 __all__ = [
     "Seed",
     "Trajectory",
-    "IncrementSeries",
     "SimplexWeights",
     "RadiusGrid",
     "RunningStdNormalization",
@@ -161,29 +160,6 @@ def pairwise_distances(points: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class IncrementSeries:
-    """Lagged differences ``points[j + lag] - points[j]`` of a trajectory."""
-
-    deltas: np.ndarray
-    lag: int
-
-    def __post_init__(self):
-        if self.lag < 1:
-            raise ValueError(f"lag must be a positive integer, got {self.lag}")
-        object.__setattr__(self, "deltas", _freeze(np.atleast_2d(self.deltas)))
-
-    def __len__(self) -> int:
-        return self.deltas.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.deltas.shape[1]
-
-    def norms(self) -> np.ndarray:
-        return np.linalg.norm(self.deltas, axis=1)
-
-
-@dataclass(frozen=True)
 class SimplexWeights:
     """Probability vector over trajectory points."""
 
@@ -209,10 +185,9 @@ class SimplexWeights:
 
 @dataclass(frozen=True)
 class RadiusGrid:
-    """Strictly increasing positive radii plus a truncation radius ``rho``."""
+    """Strictly increasing, positive and finite radii."""
 
     radii: np.ndarray
-    rho: float
 
     def __post_init__(self):
         r = np.asarray(self.radii, dtype=np.float64).ravel()
@@ -222,23 +197,17 @@ class RadiusGrid:
             raise ValueError("radii must be positive and finite")
         if np.any(np.diff(r) <= 0):
             raise ValueError("radii must be strictly increasing")
-        if not self.rho > 0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
         object.__setattr__(self, "radii", _freeze(r))
-        object.__setattr__(self, "rho", float(self.rho))
 
     def __len__(self) -> int:
         return self.radii.size
 
     @classmethod
-    def geometric(cls, lo: float, hi: float, num: int, rho: float | None = None) -> "RadiusGrid":
-        radii = np.geomspace(lo, hi, num)
-        return cls(radii, hi if rho is None else rho)
+    def geometric(cls, lo: float, hi: float, num: int) -> "RadiusGrid":
+        return cls(np.geomspace(lo, hi, num))
 
     @classmethod
-    def from_quantiles(
-        cls, values: Sequence[float], levels: Sequence[float], rho: float | None = None
-    ) -> "RadiusGrid":
+    def from_quantiles(cls, values: Sequence[float], levels: Sequence[float]) -> "RadiusGrid":
         """Grid at empirical quantiles of positive ``values`` (duplicates dropped)."""
         vals = np.asarray(values, dtype=np.float64)
         overflowed = int(np.count_nonzero(~np.isfinite(vals)))
@@ -253,7 +222,7 @@ class RadiusGrid:
         radii = radii[radii > 0]
         if radii.size == 0:
             raise DegenerateDataError("quantile grid collapsed to zero radii")
-        return cls(radii, float(radii[-1]) if rho is None else rho)
+        return cls(radii)
 
 
 def load_trajectory(path: str | Path, has_header: bool = False, last: int | None = None) -> Trajectory:
@@ -388,8 +357,8 @@ def save_trajectory(trajectory: Trajectory, path: str | Path) -> Path:
     return path
 
 
-def increments(trajectory: Trajectory, lag: int = 1) -> IncrementSeries:
-    """Lag-k differences of a trajectory; requires ``lag < len(trajectory)``."""
+def increments(trajectory: Trajectory, lag: int = 1) -> np.ndarray:
+    """Read-only ``(len - lag, D)`` array of the steps ``points[j + lag] - points[j]``; requires ``lag < len``."""
     if lag < 1:
         raise ValueError(f"lag must be a positive integer, got {lag}")
     if lag >= len(trajectory):
@@ -397,7 +366,8 @@ def increments(trajectory: Trajectory, lag: int = 1) -> IncrementSeries:
     pts = trajectory.points
     with np.errstate(over="ignore"):  # steps too large for float64 are inf
         deltas = pts[lag:] - pts[:-lag]
-    return IncrementSeries(deltas, lag)
+    deltas.setflags(write=False)
+    return deltas
 
 
 @dataclass(frozen=True)

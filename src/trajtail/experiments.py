@@ -109,9 +109,11 @@ def _typed(key: str, value: Any, default: Any) -> Any:
 
 @dataclass(frozen=True)
 class StudySpec:
-    """One study configuration; ``params`` override the study defaults.
+    """One study configuration, resolved on construction.
 
-    Each override is converted once, to the type of the default it replaces.
+    ``replicates`` left as None becomes the study's default count.  ``params``
+    becomes every study parameter: the defaults, with each given override
+    converted once to the type of the default it replaces.
     """
 
     study: str
@@ -126,16 +128,12 @@ class StudySpec:
         unknown = set(self.params) - set(defaults)
         if unknown:
             raise ValueError(f"unknown parameters for {self.study}: {sorted(unknown)}")
-        if self.replicates is not None and self.replicates < 1:
+        if self.replicates is None:
+            object.__setattr__(self, "replicates", _DEFAULT_REPLICATES[self.study])
+        elif self.replicates < 1:
             raise ValueError("replicates must be >= 1")
         typed = {key: _typed(key, value, defaults[key]) for key, value in self.params.items()}
-        object.__setattr__(self, "params", typed)
-
-    def resolved_replicates(self) -> int:
-        return self.replicates if self.replicates is not None else _DEFAULT_REPLICATES[self.study]
-
-    def resolved_params(self) -> dict[str, Any]:
-        return {**_DEFAULT_PARAMS[self.study], **self.params}
+        object.__setattr__(self, "params", {**defaults, **typed})
 
 
 @dataclass(frozen=True)
@@ -244,7 +242,7 @@ def _cell_appendix_c(alpha: float, seed: Seed, params: Mapping[str, Any]) -> dic
 
 def _cell_gaussian_dimension(dim: int, seed: Seed, params: Mapping[str, Any]) -> dict[str, float]:
     walk = simulate(ProcessSpec("gaussian_walk", dim, params["steps"], seed.spawn(0).base))
-    norms = increments(walk, 1).norms()
+    norms = np.linalg.norm(increments(walk, 1), axis=1)
     levels = np.geomspace(params["level_lo"], params["level_hi"], params["n_radii"])
     grid = RadiusGrid.from_quantiles(norms, levels)
     curve = ball_mass_curve(walk, (1,), grid)
@@ -256,7 +254,7 @@ def _cell_exponent_comparison(alpha_s: float, seed: Seed, params: Mapping[str, A
         ProcessSpec("stable_levy_walk", params["dim"], params["steps"], seed.spawn(0).base, stable_alpha=alpha_s)
     )
     lower = lower_tail_exponent_reciprocal(walk).alpha_survival
-    stable = stable_index(increments(walk, 1).deltas.ravel(), params["block_size"]).alpha_hat
+    stable = stable_index(increments(walk, 1).ravel(), params["block_size"]).alpha_hat
     return {"alpha_lower_tail": lower, "alpha_stable": stable}
 
 
@@ -266,7 +264,7 @@ def _study_plan(spec: StudySpec):
     Cells are looked up as module globals per call, so a wrapper set on the
     module attribute (as the span tracer does) sees every cell.
     """
-    p = spec.resolved_params()
+    p = spec.params
     if spec.study == "figure1_ordering":
         return ("stable", "gaussian"), "process", _cell_figure1, p
     if spec.study == "appendix_c_curve":
@@ -316,7 +314,7 @@ def run_study(spec: StudySpec, threads: int = 1) -> StudyResult:
     """
     start = time.perf_counter()
     grid, grid_label, cell_fn, params = _study_plan(spec)
-    reps = spec.resolved_replicates()
+    reps = spec.replicates
     base = Seed(spec.seed)
     cells = [(gi, ri) for gi in range(len(grid)) for ri in range(reps)]
 
@@ -358,9 +356,9 @@ def emit_report(result: StudyResult, out_dir: str | Path) -> list[Path]:
         "study": spec.study,
         "spec": {
             "study": spec.study,
-            "replicates": spec.resolved_replicates(),
+            "replicates": spec.replicates,
             "seed": spec.seed,
-            "params": spec.resolved_params(),
+            "params": spec.params,
         },
         "grid_label": result.grid_label,
         "grid": result.grid,

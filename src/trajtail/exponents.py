@@ -64,12 +64,10 @@ class TailFitResult:
 
 @dataclass(frozen=True)
 class BallMassCurve:
-    """Empirical kernel ball masses, averaged over the given lags."""
+    """Empirical kernel ball masses at the radii of a grid, nondecreasing in r."""
 
     radii: RadiusGrid
     masses: np.ndarray
-    lag_set: tuple[int, ...]
-    mode: str = "average"
 
     def __post_init__(self):
         m = np.asarray(self.masses, dtype=np.float64)
@@ -81,7 +79,6 @@ class BallMassCurve:
             raise ValueError("masses must be nondecreasing in r")
         m.setflags(write=False)
         object.__setattr__(self, "masses", m)
-        object.__setattr__(self, "lag_set", tuple(sorted(self.lag_set)))
 
 
 @dataclass(frozen=True)
@@ -163,7 +160,7 @@ def lower_tail_exponent_reciprocal(trajectory: Trajectory, x_min: float | None =
         raise InsufficientDataError(
             f"need at least {LOW_SAMPLE_THRESHOLD + 1} iterates, got {len(trajectory)}"
         )
-    norms = increments(trajectory, 1).norms()
+    norms = np.linalg.norm(increments(trajectory, 1), axis=1)
     nonzero = norms[norms > 0.0]
     dropped = norms.size - nonzero.size
     if nonzero.size < LOW_SAMPLE_THRESHOLD:
@@ -200,7 +197,7 @@ def ball_mass_curve(
     if mode == "average":
         acc = np.zeros(r.size)
         for k in lag_list:
-            norms = np.sort(increments(trajectory, k).norms())
+            norms = np.sort(np.linalg.norm(increments(trajectory, k), axis=1))
             acc += np.searchsorted(norms, r, side="right") / norms.size
         masses = acc / len(lag_list)
     else:
@@ -214,7 +211,7 @@ def ball_mass_curve(
                 norm = float(np.linalg.norm(pts[a + k] - pts[a]))
                 hits += norm <= r
             masses = np.minimum(masses, hits / len(lag_list))
-    return BallMassCurve(radii, masses, tuple(lag_list), mode)
+    return BallMassCurve(radii, masses)
 
 
 def exponent_from_ball_mass(curve: BallMassCurve, window: tuple[float, float] = DEFAULT_MASS_WINDOW) -> float:
@@ -282,7 +279,7 @@ def layerwise_stable_index(
             seen.add(i)
     if len(seen) != dim:
         raise ValueError(f"blocks cover {len(seen)} of {dim} coordinates")
-    deltas = increments(trajectory, 1).deltas
+    deltas = increments(trajectory, 1)
     per_block = []
     dropped = 0
     for b in blocks:

@@ -116,13 +116,15 @@ def _farthest_point_radii(dist: np.ndarray) -> np.ndarray:
     return np.asarray(radii)
 
 
-def covering_numbers(trajectory: Trajectory, radii: RadiusGrid) -> CoveringProfile:
+def covering_numbers(trajectory: Trajectory, radii: RadiusGrid, rho: float) -> CoveringProfile:
     """Greedy cover sizes per radius and the normalized entropy integral.
 
     ``dudley_value`` is the trapezoidal quadrature of sqrt(log N_r) over
     [0, rho] (evaluated on {0} + the grid radii below rho + {rho}), divided
     by rho.
     """
+    if not rho > 0:
+        raise ValueError(f"rho must be positive, got {rho}")
     cover_radii = _farthest_point_radii(trajectory.distances)
 
     def counts_at(r: np.ndarray) -> np.ndarray:
@@ -130,7 +132,6 @@ def covering_numbers(trajectory: Trajectory, radii: RadiusGrid) -> CoveringProfi
         return cover_radii.size - np.searchsorted(cover_radii[::-1], r, side="right") + 1
 
     counts = counts_at(radii.radii).astype(np.int64)
-    rho = radii.rho
     inside = radii.radii[radii.radii < rho]
     eval_r = np.concatenate([[0.0], inside, [rho]])
     integrand = np.sqrt(np.log(counts_at(eval_r).astype(np.float64)))

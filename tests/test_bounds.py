@@ -81,8 +81,8 @@ class TestCorollary1:
 
 class TestKernelFunctional:
     def test_unit_masses_constant_integrand(self):
-        grid = RadiusGrid(np.linspace(0.1, 1.0, 10), rho=1.0)
-        curve = BallMassCurve(grid, np.ones(10), (1,))
+        grid = RadiusGrid(np.linspace(0.1, 1.0, 10))
+        curve = BallMassCurve(grid, np.ones(10))
         for dim in (1, 2, 4):
             expected = np.sqrt((dim + 2) * np.log(3.0))
             assert kernel_functional(curve, 1.0, dim) == pytest.approx(expected, abs=1e-12)
@@ -90,7 +90,7 @@ class TestKernelFunctional:
     def test_power_law_masses_match_quadrature_oracle(self):
         alpha, dim = 1.7, 2
         radii = np.geomspace(1e-7, 1.0, 6000)
-        curve = BallMassCurve(RadiusGrid(radii, rho=1.0), radii**alpha, (1,))
+        curve = BallMassCurve(RadiusGrid(radii), radii**alpha)
         value = kernel_functional(curve, 1.0, dim)
         oracle, _ = integrate.quad(
             lambda r: np.sqrt(4.0 * np.log(3.0) + alpha * np.log(1.0 / r)), 0.0, 1.0, limit=200
@@ -98,21 +98,21 @@ class TestKernelFunctional:
         assert value == pytest.approx(oracle, rel=1e-4)
 
     def test_halving_masses_increases_value(self):
-        grid = RadiusGrid(np.linspace(0.1, 1.0, 20), rho=1.0)
+        grid = RadiusGrid(np.linspace(0.1, 1.0, 20))
         m = np.linspace(0.05, 0.9, 20)
-        lo = kernel_functional(BallMassCurve(grid, m, (1,)), 1.0, 2)
-        hi = kernel_functional(BallMassCurve(grid, m / 2.0, (1,)), 1.0, 2)
+        lo = kernel_functional(BallMassCurve(grid, m), 1.0, 2)
+        hi = kernel_functional(BallMassCurve(grid, m / 2.0), 1.0, 2)
         assert hi > lo
 
     def test_zero_masses_trimmed_with_warning(self):
-        grid = RadiusGrid(np.linspace(0.1, 1.0, 5), rho=1.0)
-        curve = BallMassCurve(grid, np.array([0.0, 0.0, 0.5, 0.7, 1.0]), (1,))
+        grid = RadiusGrid(np.linspace(0.1, 1.0, 5))
+        curve = BallMassCurve(grid, np.array([0.0, 0.0, 0.5, 0.7, 1.0]))
         with pytest.warns(UserWarning, match="trimmed 2"):
             kernel_functional(curve, 1.0, 2)
 
     def test_all_zero_masses_degenerate(self):
-        grid = RadiusGrid(np.linspace(0.1, 1.0, 4), rho=1.0)
-        curve = BallMassCurve(grid, np.zeros(4), (1,))
+        grid = RadiusGrid(np.linspace(0.1, 1.0, 4))
+        curve = BallMassCurve(grid, np.zeros(4))
         with pytest.warns(UserWarning), pytest.raises(DegenerateDataError):
             kernel_functional(curve, 1.0, 2)
 
@@ -143,6 +143,18 @@ class TestJIntegral:
             value = j_integral(a, horizon, rho, dim)
             assert 0.0 < value < np.inf
             assert value == pytest.approx(j_reference(a, horizon, rho, dim), rel=1e-9), (a, horizon, rho, dim)
+
+    def test_extreme_inputs_match_mpmath(self, j_reference):
+        # c = a rho^2 / T and a rho^2 leave the float64 range at many of these corners
+        corners = (1e-200, 1.0, 1e200)
+        for a, horizon, rho, dim in itertools.product(corners, corners, corners, (1, 2, 3, 10)):
+            reference = j_reference(a, horizon, rho, dim)
+            try:
+                value = j_integral(a, horizon, rho, dim)
+            except DegenerateDataError:
+                assert not 1e-300 <= reference <= 1e300, (a, horizon, rho, dim)
+            else:
+                assert value == pytest.approx(reference, rel=1e-9), (a, horizon, rho, dim)
 
 
 class TestGaussRadialBounds:

@@ -132,6 +132,10 @@ class TestExitCodes:
             (("bound", "--form", "j-integral", "--a", "-1"), "argument --a: expected a positive number"),
             (("bound", "--form", "j-integral", "--horizon", "0"), "argument --horizon: expected a positive number"),
             (("bound", "--form", "gauss-check", "--r", "nan"), "argument --r: expected a positive number"),
+            *[
+                (("tail-fit", "--input", "nope.csv", "--x-min", value), "argument --x-min: expected a positive number")
+                for value in ("-1", "0", "nan", "inf")
+            ],
         ],
     )
     def test_count_and_range_flags_rejected_before_any_work(self, capsys, tmp_path, monkeypatch, argv, message):
@@ -391,6 +395,7 @@ def _config_file_text(config: dict) -> str:
 
 
 _FT_SMALL = ("--iterations", "100", "--restarts", "1")
+_EXPLICIT_RADII = ("--radii-min", "0.05", "--radii-max", "2", "--radii-num", "9")
 _ROUND_TRIP = {
     "simulate": ("simulate", "--kind", "beta-prime-walk", "--steps", "120", "--seed", "3", "--sigma", "1,0.5",
                  "--out", "sim.csv"),
@@ -401,6 +406,9 @@ _ROUND_TRIP = {
     "ballmass-radii-num": ("ballmass", "--input", "{walk}", "--radii-num", "16"),
     "kfunction": ("kfunction", "--input", "{walk}", "--level-lo", "0.01", "--window", "0.02,0.2"),
     "cover": ("cover", "--input", "{walk}", "--rho", "0.5", "--radii-num", "12"),
+    "ballmass-radii": ("ballmass", "--input", "{walk}", *_EXPLICIT_RADII),
+    "kfunction-radii": ("kfunction", "--input", "{walk}", *_EXPLICIT_RADII),
+    "cover-radii": ("cover", "--input", "{walk}", "--rho", "0.5", *_EXPLICIT_RADII),
     "bound-theorem1-prob": ("bound", "--form", "theorem1-prob", "--n", "1000", "--gamma2", "0.8",
                             "--unbounded-loss-tail", "0.1"),
     "bound-theorem1-exp": ("bound", "--form", "theorem1-exp", "--gamma2", "0.8", "--mutual-info-1", "0.3"),
@@ -428,6 +436,15 @@ def test_reported_config_reproduces_report(case, capsys, walk_csv, tmp_path, mon
     code, second, err = run_cli(capsys, argv[0], "--config", str(cfg))
     assert code == 0, err
     assert second == first
+
+
+@pytest.mark.parametrize("command", ["ballmass", "kfunction", "cover"])
+def test_explicit_radii_written_as_geometric_grid(command, capsys, walk_csv, tmp_path):
+    argv = [a.format(walk=walk_csv) for a in _ROUND_TRIP[f"{command}-radii"]]
+    code, _, err = run_cli(capsys, *argv, "--out-dir", str(tmp_path / "out"))
+    assert code == 0, err
+    radii = np.loadtxt(tmp_path / "out" / f"{command}.csv", delimiter=",", skiprows=1)[:, 0]
+    np.testing.assert_array_equal(radii, np.geomspace(0.05, 2.0, 9))
 
 
 class TestEstimatorCommands:

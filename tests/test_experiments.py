@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from trajtail import experiments
+from trajtail.cli import main
+from trajtail.core import Seed, normalize_by_running_std
 from trajtail.experiments import StudySpec, emit_report, run_study
+from trajtail.ft import SubgradientOptions, estimate_gamma2
+from trajtail.simulate import ProcessSpec, simulate
 
 TINY_GD = StudySpec("gaussian_dimension", replicates=3, seed=21, params={"steps": 3000, "dims": (1, 2)})
 
@@ -25,13 +29,13 @@ class TestStudySpec:
     def test_overrides_take_the_default_type(self):
         params = StudySpec(
             "appendix_c_curve", params={"steps": "60", "beta": 3, "alpha_hi": "0.5", "normalization": "running"}
-        ).resolved_params()
+        ).params
         assert params["steps"] == 60 and isinstance(params["steps"], int)
         assert params["beta"] == 3.0 and isinstance(params["beta"], float)
         assert params["alpha_hi"] == 0.5 and params["normalization"] == "running"
-        assert StudySpec("gaussian_dimension", params={"dims": "1, 2"}).resolved_params()["dims"] == (1, 2)
-        assert StudySpec("gaussian_dimension", params={"dims": 2}).resolved_params()["dims"] == (2,)
-        alphas = StudySpec("exponent_comparison", params={"stable_alphas": [1.2, "1.8"]}).resolved_params()
+        assert StudySpec("gaussian_dimension", params={"dims": "1, 2"}).params["dims"] == (1, 2)
+        assert StudySpec("gaussian_dimension", params={"dims": 2}).params["dims"] == (2,)
+        alphas = StudySpec("exponent_comparison", params={"stable_alphas": [1.2, "1.8"]}).params
         assert alphas["stable_alphas"] == (1.2, 1.8)
 
     @pytest.mark.parametrize(
@@ -50,8 +54,10 @@ class TestStudySpec:
 
     def test_defaults_resolved(self):
         spec = StudySpec("appendix_c_curve")
-        assert spec.resolved_replicates() == 100
-        assert spec.resolved_params()["beta"] == 3.5
+        assert spec.replicates == 100
+        assert spec.params["beta"] == 3.5
+        assert spec.params == experiments._DEFAULT_PARAMS["appendix_c_curve"]
+        assert StudySpec(spec.study, spec.replicates, spec.seed, spec.params) == spec
 
 
 class TestRunStudy:
@@ -101,6 +107,29 @@ class TestRunStudy:
         assert len(res.grid) == 3
         assert "spearman" in res.diagnostics and "r2_log_alpha" in res.diagnostics
 
+    def test_appendix_c_running_normalization(self, tmp_path):
+        """``normalization=running`` runs each cell on the prefix-std normalized walk, at any thread count."""
+        argv = ["study", "--name", "appendix-c-curve", "--replicates", "1", "--seed", "9"]
+        argv += ["--param", "steps=60", "--param", "alpha_points=3", "--param", "normalization=running"]
+        for threads in ("1", "2"):
+            assert main([*argv, "--threads", threads, "--out-dir", str(tmp_path / threads)]) == 0
+        # study.json is the command's report, which names the output directory
+        files = ["appendix_c_curve.csv", "appendix_c_curve.json", "study.json"]
+        assert sorted(p.name for p in (tmp_path / "1").iterdir()) == files
+        for name in files[:2]:
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+        params = {"steps": 60, "alpha_points": 3, "normalization": "running"}
+        spec = StudySpec("appendix_c_curve", replicates=1, seed=9, params=params)
+        res = run_study(spec)
+        for gi, alpha in enumerate(res.grid):
+            seed = Seed(9).spawn(gi, 0)
+            walk = simulate(ProcessSpec("beta_prime_walk", 2, 60, seed.spawn(0).base, bp_alpha=alpha, bp_beta=3.5))
+            options = SubgradientOptions(iterations=300, restarts=1, dtype="float64", seed=seed.spawn(1).base)
+            running = estimate_gamma2(normalize_by_running_std(walk).trajectory, 0.25, options=options).value
+            full = estimate_gamma2(experiments._normalize(walk, "full"), 0.25, options=options).value
+            assert res.raw["gamma2"][gi, 0] == running != full
+
 
 def test_each_cell_is_one_call_through_a_cell_attribute(monkeypatch):
     """The benchmark's span tracer wraps every ``experiments._cell_*`` module
@@ -120,7 +149,7 @@ def test_each_cell_is_one_call_through_a_cell_attribute(monkeypatch):
     for spec in specs:
         calls.clear()
         res = run_study(spec, threads=2)
-        assert len(calls) == len(res.grid) * spec.resolved_replicates()
+        assert len(calls) == len(res.grid) * spec.replicates
 
 
 def test_json_hook_writes_numpy_values_as_python_values():

@@ -89,32 +89,32 @@ class TestLowerTailReciprocal:
 
 class TestBallMassCurve:
     def test_constant_trajectory_all_mass(self):
-        curve = ball_mass_curve(Trajectory(np.zeros((10, 2))), (1,), RadiusGrid([0.1, 1.0], rho=1.0))
+        curve = ball_mass_curve(Trajectory(np.zeros((10, 2))), (1,), RadiusGrid([0.1, 1.0]))
         np.testing.assert_array_equal(curve.masses, [1.0, 1.0])
 
     def test_single_unit_step(self):
         t = Trajectory(np.array([[0.0], [1.0]]))
-        curve = ball_mass_curve(t, (1,), RadiusGrid([0.5, 2.0], rho=2.0))
+        curve = ball_mass_curve(t, (1,), RadiusGrid([0.5, 2.0]))
         np.testing.assert_array_equal(curve.masses, [0.0, 1.0])
 
     def test_gaussian_masses_match_chi_square_law(self):
         walk = simulate(ProcessSpec("gaussian_walk", dim=3, steps=20_000, seed=4))
-        grid = RadiusGrid(np.geomspace(0.2, 2.0, 12), rho=2.0)
+        grid = RadiusGrid(np.geomspace(0.2, 2.0, 12))
         curve = ball_mass_curve(walk, (1,), grid)
         expected = stats.chi2.cdf(grid.radii**2, df=3)
         np.testing.assert_allclose(curve.masses, expected, atol=0.015)
 
     def test_empty_lags_rejected(self):
         with pytest.raises(ValueError):
-            ball_mass_curve(Trajectory(np.zeros((5, 1))), (), RadiusGrid([1.0], rho=1.0))
+            ball_mass_curve(Trajectory(np.zeros((5, 1))), (), RadiusGrid([1.0]))
 
     def test_lag_exceeding_length_rejected(self):
         with pytest.raises(InsufficientDataError):
-            ball_mass_curve(Trajectory(np.zeros((5, 1))), (5,), RadiusGrid([1.0], rho=1.0))
+            ball_mass_curve(Trajectory(np.zeros((5, 1))), (5,), RadiusGrid([1.0]))
 
     def test_masses_nondecreasing_and_rigid_motion_invariant(self):
         walk = simulate(ProcessSpec("gaussian_walk", dim=2, steps=500, seed=5))
-        grid = RadiusGrid(np.geomspace(0.05, 3.0, 16), rho=3.0)
+        grid = RadiusGrid(np.geomspace(0.05, 3.0, 16))
         base = ball_mass_curve(walk, (1, 2), grid)
         assert np.all(np.diff(base.masses) >= 0)
         theta = 0.7
@@ -125,10 +125,9 @@ class TestBallMassCurve:
     def test_worst_mode_below_average_over_all_anchors(self):
         # lags up to 3 leave MAX_ANCHORS start points, so every start is an anchor
         walk = simulate(ProcessSpec("gaussian_walk", dim=2, steps=MAX_ANCHORS + 2, seed=6))
-        grid = RadiusGrid(np.geomspace(0.1, 3.0, 10), rho=3.0)
+        grid = RadiusGrid(np.geomspace(0.1, 3.0, 10))
         avg = ball_mass_curve(walk, (1, 2, 3), grid)
         worst = ball_mass_curve(walk, (1, 2, 3), grid, mode="worst")
-        assert worst.mode == "worst"
         assert np.all(np.diff(worst.masses) >= 0)
         # with every anchor included, the least favorable anchor sits below
         # the anchor average at each radius
@@ -141,13 +140,13 @@ class TestExponentFromBallMass:
         from trajtail.exponents import BallMassCurve
 
         radii = np.linspace(0.01, 0.2, 96)
-        curve = BallMassCurve(RadiusGrid(radii, rho=1.0), radii**2, (1,))
+        curve = BallMassCurve(RadiusGrid(radii), radii**2)
         slope = exponent_from_ball_mass(curve)
         assert slope == pytest.approx(2.0, abs=1e-9)
 
     def test_gaussian_walk_r3(self):
         walk = simulate(ProcessSpec("gaussian_walk", dim=3, steps=10_000, seed=7))
-        norms = increments(walk, 1).norms()
+        norms = np.linalg.norm(increments(walk, 1), axis=1)
         grid = RadiusGrid.from_quantiles(norms, np.geomspace(0.004, 0.4, 48))
         slope = exponent_from_ball_mass(ball_mass_curve(walk, (1,), grid))
         assert 2.7 <= slope <= 3.3
@@ -155,21 +154,21 @@ class TestExponentFromBallMass:
     def test_saturated_curve_insufficient(self):
         from trajtail.exponents import BallMassCurve
 
-        curve = BallMassCurve(RadiusGrid([0.1, 0.2, 0.4], rho=1.0), np.ones(3), (1,))
+        curve = BallMassCurve(RadiusGrid([0.1, 0.2, 0.4]), np.ones(3))
         with pytest.raises(InsufficientDataError):
             exponent_from_ball_mass(curve)
 
     def test_window_validation(self):
         from trajtail.exponents import BallMassCurve
 
-        curve = BallMassCurve(RadiusGrid([0.1], rho=1.0), [0.05], (1,))
+        curve = BallMassCurve(RadiusGrid([0.1]), [0.05])
         with pytest.raises(ValueError):
             exponent_from_ball_mass(curve, window=(0.5, 0.1))
 
     def test_two_routes_agree_on_beta_prime(self):
         walk = simulate(ProcessSpec("beta_prime_walk", dim=2, steps=10_000, seed=8, bp_alpha=0.5, bp_beta=3.5))
         fit = lower_tail_exponent_reciprocal(walk).alpha_survival
-        norms = increments(walk, 1).norms()
+        norms = np.linalg.norm(increments(walk, 1), axis=1)
         grid = RadiusGrid.from_quantiles(norms, np.geomspace(0.002, 0.5, 48))
         slope = exponent_from_ball_mass(ball_mass_curve(walk, (1,), grid))
         assert abs(fit - slope) <= 0.25
@@ -224,7 +223,7 @@ class TestLayerwiseStableIndex:
 
     def test_single_block_matches_pooled(self):
         walk = self._mixed_walk(2000)
-        pooled = stable_index(increments(walk, 1).deltas.ravel(), 10)
+        pooled = stable_index(increments(walk, 1).ravel(), 10)
         layered = layerwise_stable_index(walk, [[0, 1, 2, 3]], 10)
         assert layered.alpha_hat == pooled.alpha_hat
 
