@@ -7,7 +7,7 @@ universal constant".
 
 from __future__ import annotations
 
-import warnings
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +26,8 @@ __all__ = [
     "gauss_radial_bounds_check",
 ]
 
+log = logging.getLogger(__name__)
+
 # gauss_radial_bounds_check's slack on each side, relative to the largest log it
 # compares: a few ulps, the rounding of those logs.
 GAUSS_CHECK_SLACK = 16 * np.finfo(np.float64).eps
@@ -40,15 +42,15 @@ class BoundInputs:
     ``mutual_info_inf`` and ``mutual_info_1`` are user-supplied dependence
     constants (they are not estimated here).  ``unbounded_loss_tail`` is the
     optional tail probability that discounts the confidence level when the
-    loss is unbounded.
+    loss is unbounded; with ``delta`` it must leave a positive confidence.
     """
 
     loss_bound: float
     lipschitz: float
     rho: float
     n: int
-    delta: float
     gamma2: float
+    delta: float = 0.05
     mutual_info_inf: float = 0.0
     mutual_info_1: float = 0.0
     k1: float = 1.0
@@ -66,6 +68,8 @@ class BoundInputs:
         for name in ("gamma2", "mutual_info_inf", "mutual_info_1", "unbounded_loss_tail"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
+        if not self.delta + self.unbounded_loss_tail < 1.0:
+            raise ValueError(f"delta + unbounded_loss_tail must be below 1, got {self.delta + self.unbounded_loss_tail}")
 
     @property
     def l_rho(self) -> float:
@@ -104,9 +108,9 @@ def kernel_functional(curve: BallMassCurve, rho: float, dim: int) -> float:
 
     Trapezoidal quadrature of sqrt((dim + 2) log 3 - log mass(r)) over
     [0, rho] divided by rho, with the mass curve extended by its first/last
-    values to the interval ends.  Zero-mass radii are trimmed (reported via a
-    warning); the sup over anchors is whatever the curve's construction mode
-    provides.
+    values to the interval ends.  Zero-mass radii are trimmed (a logged
+    warning reports them); the sup over anchors is whatever the curve's
+    construction mode provides.
     """
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
@@ -117,7 +121,7 @@ def kernel_functional(curve: BallMassCurve, rho: float, dim: int) -> float:
     keep = (m > 0.0) & (r <= rho)
     n_zero = int(np.sum((m == 0.0) & (r <= rho)))
     if n_zero:
-        warnings.warn(f"trimmed {n_zero} zero-mass radii below rho", stacklevel=2)
+        log.warning("trimmed %d zero-mass radii below rho", n_zero)
     if not keep.any():
         raise DegenerateDataError("no positive masses at radii below rho")
     r, m = r[keep], m[keep]
@@ -231,8 +235,9 @@ def gauss_radial_bounds_check(a: float, r: float, rho: float, dim: int) -> Gauss
     and I_rho(a, D) is I(D/2, a rho^2) (see ``_log_i``).  With the common
     factor r^D / 2 divided out, the sandwich reads I(s, a rho^2) <= I(s, a r^2)
     <= 1/s; ``holds`` compares the logs of these, allowing only their rounding:
-    ``GAUSS_CHECK_SLACK`` times the largest log magnitude.  A side outside the
-    float64 range raises ``DegenerateDataError``.
+    ``GAUSS_CHECK_SLACK`` times the largest log magnitude.  Each side is one
+    exp of its summed logs, so it is returned wherever it lies in the float64
+    range; a side outside it raises ``DegenerateDataError``.
     """
     if not (a > 0 and r > 0 and rho > 0):
         raise ValueError("a, r and rho must be positive")
@@ -244,11 +249,11 @@ def gauss_radial_bounds_check(a: float, r: float, rho: float, dim: int) -> Gauss
     log_i_r, log_i_rho = _log_i(s, *_scaled_square(a, r, 1.0)), _log_i(s, *_scaled_square(a, rho, 1.0))
     slack = GAUSS_CHECK_SLACK * max(1.0, abs(log_i_r), abs(log_i_rho), abs(np.log(s)))
     holds = log_i_rho <= log_i_r + slack and log_i_r <= slack - np.log(s)
+    log_r_d = dim * np.log(r)
     with np.errstate(over="ignore", under="ignore"):
-        r_d = np.float64(r) ** dim
-    return GaussRadialBounds(
-        _finite_positive("the radial integral", r_d / 2.0 * np.exp(log_i_r)),
-        _finite_positive("the lower bound", r_d / 2.0 * np.exp(log_i_rho)),
-        _finite_positive("the upper bound", r_d / dim),
-        bool(holds),
-    )
+        return GaussRadialBounds(
+            _finite_positive("the radial integral", np.exp(log_r_d - np.log(2.0) + log_i_r)),
+            _finite_positive("the lower bound", np.exp(log_r_d - np.log(2.0) + log_i_rho)),
+            _finite_positive("the upper bound", np.exp(log_r_d - np.log(dim))),
+            bool(holds),
+        )

@@ -22,7 +22,7 @@ from . import bounds as bounds_mod
 from . import core, exponents, ft, spatial
 from .errors import DataError, TrajectoryFormatError
 from .experiments import STUDIES, StudySpec, _jsonable, emit_report, run_study
-from .simulate import PROCESS_KINDS, ProcessSpec, simulate
+from .simulate import PROCESS_KINDS, PROCESS_PARAMS, ProcessSpec, simulate
 
 log = logging.getLogger("trajtail")
 
@@ -33,6 +33,18 @@ _STUDY_ALIASES = {s.replace("_", "-"): s for s in STUDIES}
 _UNRECORDED = ("func", "subcommand", "out_dir", "verbose", "threads", "config")
 # The store_true flags: a config-file line sets one only with a true value.
 _SWITCHES = ("has_header", "normalize", "verbose")
+# The flags each ``bound --form`` reads, and the CLI defaults of those that are not ``BoundInputs`` defaults.
+_THEOREM1 = ("loss_bound", "lipschitz", "rho", "n", "gamma2")
+_BOUND_READS = {
+    "theorem1-prob": (*_THEOREM1, "delta", "mutual_info_inf", "k1", "unbounded_loss_tail"),
+    "theorem1-exp": (*_THEOREM1, "mutual_info_1", "k2"),
+    "corollary1": ("alpha", "rho", "c_rho"),
+    "kernel": ("curve", "rho", "dim"),
+    "j-integral": ("a", "horizon", "rho", "dim"),
+    "gauss-check": ("a", "r", "rho", "dim"),
+}
+_BOUND_DEFAULTS = dict(loss_bound=1.0, lipschitz=1.0, rho=1.0, n=100, gamma2=0.0, alpha=1.0, c_rho=1.0, curve=None,
+                       dim=2, a=1.0, horizon=1.0, r=0.5)
 
 
 def _out_file(args, name: str) -> Path | None:
@@ -110,7 +122,7 @@ def _common_flags(sub: argparse.ArgumentParser, needs_input: bool = False) -> No
         sub.add_argument("--has-header", action="store_true", help="skip a single header row")
     sub.add_argument("--out-dir", default=None, help="directory for JSON/CSV outputs")
     sub.add_argument("--config", default=None, help="key = value file merged under explicit flags")
-    sub.add_argument("--verbose", action="store_true", help="log progress to stderr")
+    sub.add_argument("--verbose", action="store_true", default=False, help="log progress to stderr")
 
 
 def _radius_grid(args, values: np.ndarray, lo: float, hi: float, rho: float | None = None) -> core.RadiusGrid:
@@ -133,9 +145,25 @@ def _from_flags(cls, args, **given):
     return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls) if f.name not in given}, **given)
 
 
+def _field_defaults(cls) -> dict:
+    return {f.name: f.default for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING}
+
+
+def _variant_inputs(args, variant: str, reads: tuple[str, ...], defaults: dict) -> dict:
+    """The flags in ``reads``, each given or at its default, left in ``args`` as the only ones of ``defaults``.
+
+    ``defaults`` holds every variant flag of the command; one given that ``reads`` leaves out is an argument error.
+    """
+    unread = [f"--{name.replace('_', '-')}" for name in defaults if name not in reads and hasattr(args, name)]
+    if unread:
+        raise ValueError(f"{variant} does not read {', '.join(unread)}")
+    return {name: vars(args).setdefault(name, defaults[name]) for name in reads}
+
+
 def cmd_simulate(args) -> dict:
     kind = _KIND_ALIASES.get(args.kind, args.kind)
-    trajectory = simulate(_from_flags(ProcessSpec, args, kind=kind, start=None))
+    params = _variant_inputs(args, f"--kind {args.kind}", PROCESS_PARAMS[kind], _field_defaults(ProcessSpec))
+    trajectory = simulate(ProcessSpec(kind, args.dim, args.steps, args.seed, **params))
     core.save_trajectory(trajectory, args.out)
     return {
         "command": "simulate",
@@ -252,9 +280,11 @@ def _load_mass_curve(path: str) -> exponents.BallMassCurve:
 
 
 def cmd_bound(args) -> dict:
+    defaults = {**_BOUND_DEFAULTS, **_field_defaults(bounds_mod.BoundInputs)}
+    inputs = _variant_inputs(args, f"--form {args.form}", _BOUND_READS[args.form], defaults)
     report: dict = {"command": "bound", "form": args.form}
     if args.form in ("theorem1-prob", "theorem1-exp"):
-        inp = _from_flags(bounds_mod.BoundInputs, args)
+        inp = bounds_mod.BoundInputs(**inputs)
         if args.form == "theorem1-prob":
             report["value"] = bounds_mod.theorem1_high_prob_bound(inp)
             report["confidence"] = inp.confidence
@@ -263,15 +293,15 @@ def cmd_bound(args) -> dict:
         report["l_rho"] = inp.l_rho
         report["note"] = "up to the universal constant"
     elif args.form == "corollary1":
-        report["value"] = bounds_mod.corollary1_bound(args.alpha, args.rho, args.c_rho)
+        report["value"] = bounds_mod.corollary1_bound(**inputs)
     elif args.form == "kernel":
         if args.curve is None:
             raise ValueError("--curve is required for the kernel functional")
         report["value"] = bounds_mod.kernel_functional(_load_mass_curve(args.curve), args.rho, args.dim)
     elif args.form == "j-integral":
-        report["value"] = bounds_mod.j_integral(args.a, args.horizon, args.rho, args.dim)
+        report["value"] = bounds_mod.j_integral(**inputs)
     else:  # gauss-check
-        report.update(dataclasses.asdict(bounds_mod.gauss_radial_bounds_check(args.a, args.r, args.rho, args.dim)))
+        report.update(dataclasses.asdict(bounds_mod.gauss_radial_bounds_check(**inputs)))
     return report
 
 
@@ -348,7 +378,7 @@ def cmd_analyze(args) -> dict:
     _attempt(report, "k_function_slope", k_slope)
 
     def dudley():
-        grid = _radius_grid(args, ft_input.pair_distances(), 0.01, 1.0, rho)
+        grid = _radius_grid(args, ft_input.pair_distances(), args.level_lo, 1.0, rho)
         profile = spatial.covering_numbers(ft_input, grid, rho)
         dominates = spatial.dudley_dominates(est.value, profile)
         if not dominates:
@@ -410,18 +440,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="trajtail", description=__doc__)
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
-    sub = subs.add_parser("simulate", help="generate a process trajectory")
+    sub = subs.add_parser("simulate", help="generate a process trajectory", argument_default=argparse.SUPPRESS)
     sub.add_argument("--kind", required=True, choices=sorted(_KIND_ALIASES) + sorted(PROCESS_KINDS))
     sub.add_argument("--dim", type=int, default=2)
     sub.add_argument("--steps", type=int, default=1000)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", required=True, help="output trajectory CSV")
-    sub.add_argument("--sigma", type=_csv_floats, default=ProcessSpec.sigma)
-    sub.add_argument("--stable-alpha", type=float, default=ProcessSpec.stable_alpha)
-    sub.add_argument("--bp-alpha", type=float, default=ProcessSpec.bp_alpha)
-    sub.add_argument("--bp-beta", type=float, default=ProcessSpec.bp_beta)
-    sub.add_argument("--gd-step", type=float, default=ProcessSpec.gd_step)
-    sub.add_argument("--curvature", type=_csv_floats, default=ProcessSpec.curvature)
+    sub.add_argument("--sigma", type=_csv_floats)
+    sub.add_argument("--stable-alpha", type=float)
+    sub.add_argument("--bp-alpha", type=float)
+    sub.add_argument("--bp-beta", type=float)
+    sub.add_argument("--gd-step", type=float)
+    sub.add_argument("--curvature", type=_csv_floats)
     _common_flags(sub)
     sub.set_defaults(func=cmd_simulate)
 
@@ -465,30 +495,26 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(sub, needs_input=True)
     sub.set_defaults(func=cmd_cover)
 
-    sub = subs.add_parser("bound", help="closed-form bound calculators")
-    sub.add_argument(
-        "--form",
-        required=True,
-        choices=("theorem1-prob", "theorem1-exp", "corollary1", "kernel", "j-integral", "gauss-check"),
-    )
-    sub.add_argument("--loss-bound", type=float, default=1.0)
-    sub.add_argument("--lipschitz", type=float, default=1.0)
-    sub.add_argument("--rho", type=_positive_float, default=1.0)
-    sub.add_argument("--n", type=int, default=100)
-    sub.add_argument("--delta", type=float, default=0.05)
-    sub.add_argument("--gamma2", type=float, default=0.0)
-    sub.add_argument("--mutual-info-inf", type=float, default=bounds_mod.BoundInputs.mutual_info_inf)
-    sub.add_argument("--mutual-info-1", type=float, default=bounds_mod.BoundInputs.mutual_info_1)
-    sub.add_argument("--k1", type=float, default=bounds_mod.BoundInputs.k1)
-    sub.add_argument("--k2", type=float, default=bounds_mod.BoundInputs.k2)
-    sub.add_argument("--unbounded-loss-tail", type=float, default=bounds_mod.BoundInputs.unbounded_loss_tail)
-    sub.add_argument("--alpha", type=float, default=1.0)
-    sub.add_argument("--c-rho", type=float, default=1.0)
-    sub.add_argument("--curve", default=None, help="CSV with radius,mass columns")
-    sub.add_argument("--dim", type=_positive_int, default=2)
-    sub.add_argument("--a", type=_positive_float, default=1.0)
-    sub.add_argument("--horizon", type=_positive_float, default=1.0)
-    sub.add_argument("--r", type=_positive_float, default=0.5)
+    sub = subs.add_parser("bound", help="closed-form bound calculators", argument_default=argparse.SUPPRESS)
+    sub.add_argument("--form", required=True, choices=tuple(_BOUND_READS))
+    sub.add_argument("--loss-bound", type=float)
+    sub.add_argument("--lipschitz", type=float)
+    sub.add_argument("--rho", type=_positive_float)
+    sub.add_argument("--n", type=int)
+    sub.add_argument("--delta", type=float)
+    sub.add_argument("--gamma2", type=float)
+    sub.add_argument("--mutual-info-inf", type=float)
+    sub.add_argument("--mutual-info-1", type=float)
+    sub.add_argument("--k1", type=float)
+    sub.add_argument("--k2", type=float)
+    sub.add_argument("--unbounded-loss-tail", type=float)
+    sub.add_argument("--alpha", type=float)
+    sub.add_argument("--c-rho", type=float)
+    sub.add_argument("--curve", help="CSV with radius,mass columns")
+    sub.add_argument("--dim", type=_positive_int)
+    sub.add_argument("--a", type=_positive_float)
+    sub.add_argument("--horizon", type=_positive_float)
+    sub.add_argument("--r", type=_positive_float)
     _common_flags(sub)
     sub.set_defaults(func=cmd_bound)
 

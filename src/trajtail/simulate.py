@@ -15,6 +15,7 @@ from .core import Seed, Trajectory
 
 __all__ = [
     "PROCESS_KINDS",
+    "PROCESS_PARAMS",
     "ProcessSpec",
     "simulate",
     "beta_prime_sample",
@@ -22,28 +23,28 @@ __all__ = [
     "stable_transform",
 ]
 
-PROCESS_KINDS = (
-    "gaussian_walk",
-    "stable_levy_walk",
-    "beta_prime_walk",
-    "perturbed_gd_quadratic",
-)
+# The parameters each kind reads besides ``dim``, ``steps`` and ``seed``.
+PROCESS_PARAMS = {
+    "gaussian_walk": ("sigma",),
+    "stable_levy_walk": ("stable_alpha", "sigma"),
+    "beta_prime_walk": ("bp_alpha", "bp_beta"),
+    "perturbed_gd_quadratic": ("gd_step", "curvature", "sigma"),
+}
+PROCESS_KINDS = tuple(PROCESS_PARAMS)
 
 
 @dataclass(frozen=True)
 class ProcessSpec:
     """Configuration of one simulated process.
 
-    Kind-specific parameters (others are ignored):
-
-    - ``gaussian_walk``: ``sigma`` (scalar or per-coordinate scales).
-    - ``stable_levy_walk``: ``stable_alpha`` in (0, 2], ``sigma`` (scale);
-      each step adds i.i.d. symmetric stable coordinates.
-    - ``beta_prime_walk``: ``bp_alpha``, ``bp_beta`` shapes; planar walk with
-      a uniform direction and a beta-prime step length (``dim`` must be 2).
-    - ``perturbed_gd_quadratic``: ``gd_step``, per-coordinate ``curvature``
-      of the quadratic objective, ``sigma`` for the gradient noise, optional
-      nonzero ``start``.
+    ``PROCESS_PARAMS`` names the fields each kind reads; it ignores the
+    others.  ``sigma`` (the step scale, or the gradient-noise scale of
+    ``perturbed_gd_quadratic``) and ``curvature`` are a scalar or one value
+    per coordinate.  ``stable_levy_walk`` adds i.i.d. symmetric stable
+    coordinates of index ``stable_alpha`` in (0, 2]; ``beta_prime_walk`` is
+    planar (``dim`` must be 2), with a uniform direction and a beta-prime step
+    length; ``perturbed_gd_quadratic`` descends the quadratic from the
+    origin, or from a nonzero ``start`` when given.
     """
 
     kind: str

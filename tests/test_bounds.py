@@ -1,4 +1,5 @@
 import itertools
+import logging
 
 import mpmath
 import numpy as np
@@ -66,6 +67,11 @@ class TestTheorem1:
         inp = make_inputs(delta=0.05, unbounded_loss_tail=0.01)
         assert inp.confidence == pytest.approx(0.94)
 
+    @pytest.mark.parametrize("delta, tail", [(0.9, 0.5), (0.9, 5.0), (0.5, 0.5)])
+    def test_confidence_must_be_positive(self, delta, tail):
+        with pytest.raises(ValueError, match="delta \\+ unbounded_loss_tail must be below 1"):
+            make_inputs(delta=delta, unbounded_loss_tail=tail)
+
 
 class TestCorollary1:
     def test_reference_value(self):
@@ -104,17 +110,19 @@ class TestKernelFunctional:
         hi = kernel_functional(BallMassCurve(grid, m / 2.0), 1.0, 2)
         assert hi > lo
 
-    def test_zero_masses_trimmed_with_warning(self):
+    def test_zero_masses_trimmed_with_warning(self, caplog):
         grid = RadiusGrid(np.linspace(0.1, 1.0, 5))
         curve = BallMassCurve(grid, np.array([0.0, 0.0, 0.5, 0.7, 1.0]))
-        with pytest.warns(UserWarning, match="trimmed 2"):
+        with caplog.at_level(logging.WARNING, logger="trajtail.bounds"):
             kernel_functional(curve, 1.0, 2)
+        assert [r.getMessage() for r in caplog.records] == ["trimmed 2 zero-mass radii below rho"]
 
-    def test_all_zero_masses_degenerate(self):
+    def test_all_zero_masses_degenerate(self, caplog):
         grid = RadiusGrid(np.linspace(0.1, 1.0, 4))
         curve = BallMassCurve(grid, np.zeros(4))
-        with pytest.warns(UserWarning), pytest.raises(DegenerateDataError):
+        with caplog.at_level(logging.WARNING, logger="trajtail.bounds"), pytest.raises(DegenerateDataError):
             kernel_functional(curve, 1.0, 2)
+        assert [r.levelname for r in caplog.records] == ["WARNING"]
 
 
 class TestJIntegral:
@@ -176,6 +184,25 @@ class TestGaussRadialBounds:
     def test_r_beyond_rho_rejected(self):
         with pytest.raises(ValueError):
             gauss_radial_bounds_check(1.0, 2.0, 1.0, 2)
+
+    def test_extreme_inputs_match_dim_two_closed_form(self):
+        # D = 2: the integral is (1 - exp(-a r^2)) / (2a), and I(1, x) = (1 - exp(-x)) / x
+        corners = (1e-200, 1e-100, 1.0, 1e100, 1e200)
+        for a, r, rho in itertools.product(corners, repeat=3):
+            if r > rho:
+                continue
+            with mpmath.workdps(40):
+                a_, r_, rho_ = mpmath.mpf(a), mpmath.mpf(r), mpmath.mpf(rho)
+                integral = -mpmath.expm1(-a_ * r_**2) / (2 * a_)
+                lower = r_**2 / 2 * -mpmath.expm1(-a_ * rho_**2) / (a_ * rho_**2)
+                reference = [float(integral), float(lower), float(r_**2 / 2)]
+            if all(np.finfo(np.float64).tiny <= x < np.inf for x in reference):
+                check = gauss_radial_bounds_check(a, r, rho, 2)
+                assert check.holds, (a, r, rho)
+                assert [check.integral, check.lower, check.upper] == pytest.approx(reference, rel=1e-12), (a, r, rho)
+            else:
+                with pytest.raises(DegenerateDataError):
+                    gauss_radial_bounds_check(a, r, rho, 2)
 
     def test_random_parameter_grid(self, rng):
         def radial(a, r, dim):  # (r^D / 2) gamma(s, a r^2) / (a r^2)^s, s = D/2

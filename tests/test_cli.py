@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 import trajtail
 from trajtail.bounds import BoundInputs
-from trajtail.cli import _from_flags, build_parser, main
+from trajtail.cli import _BOUND_READS, _from_flags, build_parser, main
 from trajtail.ft import SubgradientOptions
-from trajtail.simulate import ProcessSpec
+from trajtail.simulate import PROCESS_PARAMS, ProcessSpec
 
 
 def run_cli(capsys, *argv):
@@ -136,6 +136,11 @@ class TestExitCodes:
                 (("tail-fit", "--input", "nope.csv", "--x-min", value), "argument --x-min: expected a positive number")
                 for value in ("-1", "0", "nan", "inf")
             ],
+            *[
+                (("bound", "--form", "theorem1-prob", "--delta", "0.9", "--unbounded-loss-tail", tail),
+                 f"delta + unbounded_loss_tail must be below 1, got {0.9 + float(tail)}")
+                for tail in ("0.5", "5")
+            ],
         ],
     )
     def test_count_and_range_flags_rejected_before_any_work(self, capsys, tmp_path, monkeypatch, argv, message):
@@ -246,15 +251,22 @@ class TestExitCodes:
 @pytest.mark.parametrize(
     "argv, cls, given",
     [
-        (("simulate", "--kind", "gaussian-walk", "--out", "t.csv"), ProcessSpec,
-         {"kind": "gaussian_walk", "start": None}),
-        (("bound", "--form", "theorem1-prob"), BoundInputs, {}),
+        (("simulate", "--kind", "perturbed-gd-quadratic", "--out", "t.csv", "--gd-step", "0.2", "--curvature", "2",
+          "--sigma", "0.5"), ProcessSpec,
+         {"kind": "perturbed_gd_quadratic", "start": None, "stable_alpha": 1.5, "bp_alpha": 0.5, "bp_beta": 3.5}),
+        (("bound", "--form", "theorem1-prob", "--loss-bound", "2", "--lipschitz", "3", "--rho", "0.5", "--n", "10",
+          "--gamma2", "0.4", "--delta", "0.1", "--mutual-info-inf", "0.2", "--k1", "2", "--unbounded-loss-tail", "0.01"),
+         BoundInputs, {"mutual_info_1": 0.0, "k2": 1.0}),
         (("gamma2", "--input", "t.csv"), SubgradientOptions, {"dtype": "float64"}),
         (("analyze", "--input", "t.csv"), SubgradientOptions, {"dtype": "float64"}),
     ],
 )
 def test_every_built_field_is_a_flag_dest(argv, cls, given):
-    """The command builds ``cls`` by field name, so each field it does not pass itself is the dest of a flag."""
+    """Each field of ``cls`` that a command (variant) reads is the dest of a flag, and the flag's value reaches it.
+
+    ``given`` holds the fields the command passes itself and, for a ``simulate`` kind or a ``bound`` form, those
+    the variant does not read, left at their library defaults.
+    """
     args = build_parser().parse_args(argv)
     names = {f.name for f in dataclasses.fields(cls)} - set(given)
     assert names <= set(vars(args))
@@ -397,8 +409,14 @@ def _config_file_text(config: dict) -> str:
 _FT_SMALL = ("--iterations", "100", "--restarts", "1")
 _EXPLICIT_RADII = ("--radii-min", "0.05", "--radii-max", "2", "--radii-num", "9")
 _ROUND_TRIP = {
-    "simulate": ("simulate", "--kind", "beta-prime-walk", "--steps", "120", "--seed", "3", "--sigma", "1,0.5",
+    "simulate": ("simulate", "--kind", "beta-prime-walk", "--steps", "120", "--seed", "3", "--bp-alpha", "0.7",
                  "--out", "sim.csv"),
+    "simulate-gaussian-walk": ("simulate", "--kind", "gaussian-walk", "--dim", "3", "--steps", "50",
+                               "--sigma", "1,0.5,2", "--out", "sim.csv"),
+    "simulate-stable-levy-walk": ("simulate", "--kind", "stable-levy-walk", "--steps", "50", "--stable-alpha", "1.2",
+                                  "--sigma", "1,0.5", "--out", "sim.csv"),
+    "simulate-perturbed-gd-quadratic": ("simulate", "--kind", "perturbed-gd-quadratic", "--steps", "50",
+                                        "--gd-step", "0.2", "--curvature", "1,3", "--out", "sim.csv"),
     "gamma2": ("gamma2", "--input", "{walk}", "--loss-bound", "1", "--lipschitz", "4", "--seed", "7", *_FT_SMALL),
     "tail-fit": ("tail-fit", "--input", "{walk}"),
     "stable-index": ("stable-index", "--input", "{walk}", "--block-size", "5", "--layer-sizes", "1,1"),
@@ -436,6 +454,48 @@ def test_reported_config_reproduces_report(case, capsys, walk_csv, tmp_path, mon
     code, second, err = run_cli(capsys, argv[0], "--config", str(cfg))
     assert code == 0, err
     assert second == first
+
+
+def _variant_reads(argv) -> tuple[str, ...]:
+    """The fields the ``bound`` form or ``simulate`` kind named in ``argv`` reads."""
+    variant = argv[argv.index("--form" if argv[0] == "bound" else "--kind") + 1]
+    return _BOUND_READS[variant] if argv[0] == "bound" else PROCESS_PARAMS[variant.replace("-", "_")]
+
+
+@pytest.mark.parametrize("case", [c for c in sorted(_ROUND_TRIP) if c.startswith(("bound", "simulate"))])
+def test_variant_config_holds_exactly_its_reads(case, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    curve = tmp_path / "curve.csv"
+    curve.write_text("radius,mass\n0.5,0.25\n1,1\n")
+    argv = [a.format(curve=curve) for a in _ROUND_TRIP[case]]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    common = {"form"} if argv[0] == "bound" else {"kind", "dim", "steps", "seed", "out"}
+    assert set(parse(out)["config"]) == common | set(_variant_reads(argv))
+
+
+def _unread(table: dict) -> list[tuple[str, str]]:
+    """Each (variant, flag dest) pair of a reads table where the variant does not read the flag."""
+    every = set().union(*table.values())
+    return [(variant, name) for variant, reads in table.items() for name in sorted(every - set(reads))]
+
+
+_UNREAD_FLAGS = [
+    *[(("bound", "--form", form, *(("--curve", "nope.csv") if form == "kernel" else ())), name)
+      for form, name in _unread(_BOUND_READS)],
+    *[(("simulate", "--kind", kind.replace("_", "-"), "--out", "t.csv"), name) for kind, name in _unread(PROCESS_PARAMS)],
+]
+
+
+@pytest.mark.parametrize("argv, name", _UNREAD_FLAGS, ids=[f"{argv[2]}-{name}" for argv, name in _UNREAD_FLAGS])
+def test_variant_rejects_flag_it_does_not_read(argv, name, capsys, tmp_path, monkeypatch):
+    """Before any input is read or output written: ``bound --form kernel --curve nope.csv`` would exit 1."""
+    monkeypatch.chdir(tmp_path)
+    flag = "--" + name.replace("_", "-")
+    code, out, err = run_cli(capsys, *argv, flag, "1")
+    assert code == 2
+    assert f"{argv[1]} {argv[2]} does not read {flag}" in err
+    assert out == "" and list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["ballmass", "kfunction", "cover"])
@@ -554,6 +614,14 @@ class TestBoundCommand:
         assert parse(out)["value"] == pytest.approx(np.sqrt(4 * np.log(3.0)))
 
 
+    def test_kernel_trim_logged_in_cli_terms(self, tmp_path):
+        curve = tmp_path / "curve.csv"
+        curve.write_text("radius,mass\n0.1,0\n0.2,0\n0.3,0.5\n0.6,1\n")
+        out = _run_module("-m", "trajtail.cli", "bound", "--form", "kernel", "--curve", str(curve), "--rho", "0.5")
+        assert out.returncode == 0
+        assert out.stderr == "WARNING trajtail.bounds: trimmed 2 zero-mass radii below rho\n"
+
+
 class TestStudyCommand:
     def test_study_files_and_overrides(self, capsys, tmp_path):
         code, out, _ = run_cli(
@@ -614,6 +682,19 @@ class TestAnalyze:
             assert doc[key] is None
             assert "no positive values" in doc[f"{key}_error"]
         assert doc["covering"] == {"dudley_value": 0.0, "dominates": True}
+
+    @pytest.mark.parametrize("flags", [("--rho", "1"), ("--rho", "20", "--level-lo", "0.01", "--radii-num", "12")])
+    def test_covering_matches_cover(self, capsys, tmp_path, flags):
+        """Without ``--normalize``, on a file no longer than the window, the covering grid is ``cover``'s."""
+        walk = tmp_path / "levy.csv"
+        sim = ("simulate", "--kind", "stable-levy-walk", "--steps", "150", "--seed", "3", "--out", str(walk))
+        assert run_cli(capsys, *sim)[0] == 0
+        code, out, _ = run_cli(capsys, "analyze", "--input", str(walk), *flags, *_FT_SMALL)
+        assert code == 0
+        analyzed = parse(out)["covering"]["dudley_value"]
+        code, out, _ = run_cli(capsys, "cover", "--input", str(walk), *flags)
+        assert code == 0
+        assert analyzed == parse(out)["dudley_value"]
 
     def test_window_override(self, capsys, walk_csv):
         code, out, _ = run_cli(
