@@ -8,7 +8,7 @@ universal constant".
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -35,6 +35,11 @@ GAUSS_CHECK_SLACK = 16 * np.finfo(np.float64).eps
 _EXP_UNDERFLOW = -np.log(np.finfo(np.float64).smallest_subnormal)
 
 
+def _require_finite(name: str, value: float) -> None:
+    if not np.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class BoundInputs:
     """Inputs to the trajectory generalization bounds.
@@ -58,6 +63,9 @@ class BoundInputs:
     unbounded_loss_tail: float = 0.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "float":
+                _require_finite(f.name, getattr(self, f.name))
         for name in ("loss_bound", "lipschitz", "rho", "k1", "k2"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
@@ -96,6 +104,8 @@ def corollary1_bound(alpha: float, rho: float, c_rho: float) -> float:
 
     Requires ``rho * c_rho <= 1`` (mass of a ball cannot exceed one).
     """
+    for name, value in (("alpha", alpha), ("rho", rho), ("c_rho", c_rho)):
+        _require_finite(name, value)
     if not (alpha > 0 and rho > 0 and c_rho > 0):
         raise ValueError("alpha, rho and c_rho must be positive")
     if rho * c_rho > 1.0 + 1e-12:

@@ -30,11 +30,11 @@ seen and falls back to uniform weights when they do better.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .core import Seed, SimplexWeights, Trajectory, pairwise_distances
+from .core import _DIFF_BUDGET, Seed, SimplexWeights, Trajectory, pairwise_distances
 
 __all__ = [
     "TruncatedGram",
@@ -75,28 +75,36 @@ def resolve_rho(rho: float | None, loss_bound: float | None = None, lipschitz: f
 
 @dataclass(frozen=True)
 class TruncatedGram:
-    """Pairwise truncated distances with the leading columns of each row's sort.
+    """The leading columns of each row's sort of the pairwise truncated distances.
 
     ``entries[i, j] = min(rho, |w_i - w_j|)``, shape ``(n, n)``.  ``order[i]``
     begins the stable permutation sorting row i ascending (ties keep index
     order, so duplicate points produce zero-length segments that contribute
     nothing); ``sorted_entries`` holds the sorted values and ``segments[i, j]
     = sorted_entries[i, j+1] - sorted_entries[i, j]``.  ``order`` and
-    ``sorted_entries`` keep ``w + 1`` columns and ``segments`` ``w``, where
+    ``segments`` keep ``w`` columns and ``sorted_entries`` ``w + 1``, where
     ``w`` is one past the last column in which any row has a positive
     segment: later columns of the full sort are constant along every row
     (at ``rho`` or the row's largest distance), so their segments are
     exactly zero and no integral needs them.
+
+    Only ``order``, ``segments`` and a read-only ``points`` are stored;
+    ``entries`` and ``sorted_entries`` are computed from ``points`` on first
+    access.
     """
 
-    entries: np.ndarray
+    points: np.ndarray
     rho: float
-    sorted_entries: np.ndarray
     order: np.ndarray
     segments: np.ndarray
 
     @classmethod
     def from_points(cls, points: np.ndarray, rho: float) -> "TruncatedGram":
+        """Sorts the truncated distances in row blocks of ``core._DIFF_BUDGET`` elements, keeping ``w`` columns.
+
+        A read-only ``points`` array is kept by reference; a writable one is
+        copied, so a caller changing it later cannot change ``entries``.
+        """
         if not rho > 0:
             raise ValueError(f"rho must be positive, got {rho}")
         pts = np.asarray(points, dtype=np.float64)
@@ -104,18 +112,45 @@ class TruncatedGram:
             raise ValueError("points must be a nonempty 2-d array")
         if not np.all(np.isfinite(pts)):
             raise ValueError("points contain non-finite coordinates")
+        rho = float(rho)
         dist = pairwise_distances(pts)
         np.minimum(dist, rho, out=dist)
-        order = np.argsort(dist, axis=1, kind="stable")
-        sorted_entries = np.take_along_axis(dist, order, axis=1)
-        nonzero = np.flatnonzero(np.diff(sorted_entries, axis=1).any(axis=0))
-        keep = int(nonzero[-1]) + 2 if nonzero.size else 1  # w + 1 sorted columns
-        sorted_entries = sorted_entries[:, :keep].copy()
-        return cls(dist, float(rho), sorted_entries, order[:, :keep].copy(), np.diff(sorted_entries, axis=1))
+        n = pts.shape[0]
+        rows = max(1, _DIFF_BUDGET // n)
+        blocks = [slice(start, start + rows) for start in range(0, n, rows)]
+        # A row's sort ends on the plateau at its largest value (rho once reached), and its
+        # last positive segment is the one onto that plateau: row i needs n - (plateau length) columns.
+        w = n - min(int((dist[b] == dist[b].max(axis=1, keepdims=True)).sum(axis=1).min()) for b in blocks)
+        order = np.empty((n, w), dtype=np.intp)
+        segments = np.empty((n, w))
+        for b in blocks:
+            lead = np.argsort(dist[b], axis=1, kind="stable")[:, : w + 1]
+            order[b] = lead[:, :w]
+            segments[b] = np.diff(np.take_along_axis(dist[b], lead, axis=1), axis=1)
+        del dist  # the copy below and the distances are never held together
+        if pts.flags.writeable:
+            pts = pts.copy()
+            pts.setflags(write=False)
+        return cls(pts, rho, order, segments)
 
     @property
     def n(self) -> int:
-        return self.entries.shape[0]
+        return self.order.shape[0]
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """Read-only ``(n, n)`` truncated distances, computed from ``points`` on first access."""
+        dist = pairwise_distances(self.points)
+        np.minimum(dist, self.rho, out=dist)
+        dist.setflags(write=False)
+        return dist
+
+    @cached_property
+    def sorted_entries(self) -> np.ndarray:
+        """Read-only ``(n, w + 1)`` leading columns of ``entries`` sorted row by row, computed on first access."""
+        values = np.sort(self.entries, axis=1)[:, : self.order.shape[1] + 1].copy()
+        values.setflags(write=False)
+        return values
 
 
 @dataclass(frozen=True)
@@ -163,7 +198,7 @@ def _anchor_integrals(seg, idx, p, q, c, r) -> np.ndarray:
     """Unnormalized per-anchor integrals at weights ``p``, in ``seg``'s dtype; shape (n,).
 
     ``seg`` and ``idx`` are a ``TruncatedGram``'s segments and flattened
-    ``order[:, :-1]``.  The sorted masses land in ``q``, the clipped
+    ``order``.  The sorted masses land in ``q``, the clipped
     cumulative masses in ``c`` and ``sqrt(-log c)`` in ``r``.  Each stage
     works in place, so one buffer can serve as all three when nothing
     reads them afterwards.
@@ -190,7 +225,7 @@ class _Workspace:
     def __init__(self, gram: TruncatedGram, dtype: str = "float64"):
         self.seg = gram.segments.astype(dtype, copy=False)
         self.rho = gram.rho
-        self.idx = gram.order[:, :-1].ravel()
+        self.idx = gram.order.reshape(-1)
         self.q = np.empty_like(self.seg)
         self.c = np.empty_like(self.seg)
         self.r = np.empty_like(self.seg)
@@ -239,7 +274,7 @@ def ft_objective(gram: TruncatedGram, weights: SimplexWeights | np.ndarray) -> f
     if p.shape != (gram.n,):
         raise ValueError(f"weights have length {p.shape}, gram has {gram.n} points")
     buf = np.empty_like(gram.segments)
-    vals = _anchor_integrals(gram.segments, gram.order[:, :-1].ravel(), p, buf, buf, buf)
+    vals = _anchor_integrals(gram.segments, gram.order.reshape(-1), p, buf, buf, buf)
     return float(vals.max()) / gram.rho
 
 
@@ -381,7 +416,7 @@ def brute_force_gamma2(w, rho: float | None = None, grid_resolution: int = 200) 
         chunk = grid[start : start + _BATCH_ROWS]
         vals = np.full(chunk.shape[0], -np.inf)
         for i in range(n):
-            cum = np.cumsum(chunk[:, gram.order[i]], axis=1)[:, :-1]
+            cum = np.cumsum(chunk[:, gram.order[i]], axis=1)
             np.maximum(vals, np.take(table, cum) @ gram.segments[i], out=vals)
         k = int(np.argmin(vals))
         if vals[k] < best_val:

@@ -63,6 +63,13 @@ class TestTheorem1:
         with pytest.raises(ValueError):
             make_inputs(delta=1.0)
 
+    @pytest.mark.parametrize("name", ["loss_bound", "lipschitz", "rho", "gamma2", "delta", "mutual_info_inf",
+                                      "mutual_info_1", "k1", "k2", "unbounded_loss_tail"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_inputs_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            make_inputs(**{name: value})
+
     def test_confidence_discounts_tail(self):
         inp = make_inputs(delta=0.05, unbounded_loss_tail=0.01)
         assert inp.confidence == pytest.approx(0.94)
@@ -83,6 +90,12 @@ class TestCorollary1:
     def test_constraint_violation(self):
         with pytest.raises(ValueError, match="<= 1"):
             corollary1_bound(1.0, 1.5, 1.0)
+
+    @pytest.mark.parametrize("args, name", [((np.inf, 1.0, 1.0), "alpha"), ((1.0, np.nan, 1.0), "rho"),
+                                            ((1.0, 0.5, -np.inf), "c_rho")])
+    def test_non_finite_inputs_rejected(self, args, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            corollary1_bound(*args)
 
 
 class TestKernelFunctional:

@@ -34,7 +34,7 @@ CONVEX_MASS = np.exp(-0.5)
 
 def _max_segment_mass(gram, p):
     """Largest cumulative mass on a positive-length segment, over all anchors."""
-    cum = np.cumsum(p[gram.order], axis=1)[:, :-1]
+    cum = np.cumsum(p[gram.order], axis=1)
     return cum[gram.segments > 0].max(initial=0.0)
 
 
@@ -82,6 +82,45 @@ class TestTruncatedGram:
             tracemalloc.stop()
         assert peak < 16 * n * n * 8, f"Gram build peaked at {peak} bytes"
 
+    def test_no_quadratic_array_kept_until_entries_read(self):
+        walk = simulate(ProcessSpec("gaussian_walk", 2, 399, 11))
+        g = TruncatedGram.from_points(walk.points, 5.0)
+        n = g.n
+        assert n == 400 and g.order.shape == g.segments.shape
+        assert all(a.size < n * n for a in vars(g).values() if isinstance(a, np.ndarray))
+        assert g.entries.shape == (n, n)
+        assert any(a.size == n * n for a in vars(g).values() if isinstance(a, np.ndarray))
+
+    def test_points_kept_by_reference_only_when_read_only(self, rng):
+        walk = simulate(ProcessSpec("gaussian_walk", 2, 30, 3))
+        assert TruncatedGram.from_points(walk.points, 1.0).points is walk.points
+        pts = random_points(rng, 30)
+        g = TruncatedGram.from_points(pts, 0.3)
+        before = g.entries.copy()
+        g = TruncatedGram.from_points(pts, 0.3)
+        pts[:] = 0.0
+        assert not g.points.flags.writeable
+        np.testing.assert_array_equal(g.entries, before)
+
+    def test_figure1_cell_estimate_peak_memory(self):
+        """The stable-arm figure-1 cell (w = 699 of n = 1,001) estimates within 32 MB.
+
+        Holding the full (n, n) entries and sorted entries with the layout
+        peaked at 47 MB here.
+        """
+        seed = Seed(777).spawn(0, 3)
+        params = experiments.StudySpec("figure1_ordering").params
+        process = ProcessSpec("stable_levy_walk", 2, 1000, seed.spawn(0).base, stable_alpha=params["stable_alpha"])
+        walk = experiments._normalize(simulate(process), "full")
+        options = SubgradientOptions(iterations=25, dtype="float32", seed=seed.spawn(1).base)
+        tracemalloc.start()
+        try:
+            estimate_gamma2(walk, rho=1.0, options=options)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32e6, f"estimate peaked at {peak} bytes"
+
 
 class TestFtObjective:
     def test_single_atom_is_zero(self):
@@ -98,37 +137,55 @@ class TestFtObjective:
             w = rng.dirichlet(np.ones(3))
             assert ft_objective(g, w) == 0.0
 
-    def test_trimmed_columns_match_full_sum_bitwise(self, rng):
-        """The stored columns are the leading columns of the full sort, bit for bit.
+    @staticmethod
+    def _trimming_cases(rng):
+        """Random sets (a quarter with duplicate points), then the block build's edge cases.
 
-        The reference sorts ``entries`` row by row (stable) and diffs at full
-        width.  The stored ``order``, ``sorted_entries`` and ``segments`` must
-        equal its leading columns, every segment it drops must be exactly
-        zero, and ``ft_objective`` must equal the einsum over the stored
-        layout.  Most of the sets (a quarter with duplicate points) must
-        actually be trimmed.
+        The edge cases: ``rho`` above the diameter (no row reaches ``rho``),
+        identical points (``w = 0``) and a single point.
         """
-        trimmed = 0
         for trial in range(40):
             n = int(rng.integers(2, 120))
             pts = random_points(rng, n, dim=int(rng.integers(1, 4)))
             if trial % 4 == 0:
                 pts[n // 2 :] = pts[0]
-            g = TruncatedGram.from_points(pts, float(rng.uniform(0.02, 0.6)))
+            yield pts, float(rng.uniform(0.02, 0.6))
+        yield random_points(rng, 90), 2.0
+        yield np.full((30, 2), 0.4), 0.5
+        yield random_points(rng, 1), 0.5
+
+    def test_trimmed_columns_match_full_sum_bitwise(self, rng):
+        """The stored columns are the leading columns of the full sort, bit for bit.
+
+        The reference sorts ``entries`` row by row (stable) and diffs at full
+        width.  The stored ``order`` and ``segments`` must equal its leading
+        ``w`` columns and ``sorted_entries`` its leading ``w + 1``, every
+        segment it drops must be exactly zero, and ``ft_objective`` must equal
+        the einsum over the stored layout.  Most of the random sets must
+        actually be trimmed.
+        """
+        trimmed = 0
+        widths = []
+        for pts, rho in self._trimming_cases(rng):
+            n = pts.shape[0]
+            g = TruncatedGram.from_points(pts, rho)
             order = np.argsort(g.entries, axis=1, kind="stable")
             sorted_entries = np.take_along_axis(g.entries, order, axis=1)
             segments = np.diff(sorted_entries, axis=1)
             w = g.segments.shape[1]
-            np.testing.assert_array_equal(g.order, order[:, : w + 1])
+            widths.append(w)
+            np.testing.assert_array_equal(g.order, order[:, :w])
             np.testing.assert_array_equal(g.sorted_entries, sorted_entries[:, : w + 1])
             np.testing.assert_array_equal(g.segments, segments[:, :w])
             assert np.all(segments[:, w:] == 0.0)
             trimmed += w < n - 1
             p = rng.dirichlet(np.full(n, 0.3))
-            cum = np.cumsum(p[g.order], axis=1)[:, :-1]
+            cum = np.cumsum(p[g.order], axis=1)
             stored = np.einsum("ij,ij->i", g.segments, np.sqrt(np.abs(np.log(np.clip(cum, MASS_FLOOR, 1.0)))))
-            assert ft_objective(g, p) == float(stored.max()) / g.rho
+            assert ft_objective(g, p) == float(stored.max(initial=0.0)) / g.rho
         assert trimmed >= 20
+        # above the diameter the last row sorts to its own largest distance; no points apart, no columns
+        assert widths[-3] > 0 and widths[-2:] == [0, 0]
 
     def test_weight_length_mismatch(self):
         g = TruncatedGram.from_points(np.zeros((2, 1)), 1.0)
