@@ -64,7 +64,7 @@ class BoundInputs:
 
     def __post_init__(self):
         for f in fields(self):
-            if f.type == "float":
+            if f.name != "n":  # the one integer field
                 _require_finite(f.name, getattr(self, f.name))
         for name in ("loss_bound", "lipschitz", "rho", "k1", "k2"):
             if not getattr(self, name) > 0:

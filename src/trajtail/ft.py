@@ -100,7 +100,7 @@ class TruncatedGram:
 
     @classmethod
     def from_points(cls, points: np.ndarray, rho: float) -> "TruncatedGram":
-        """Sorts the truncated distances in row blocks of ``core._DIFF_BUDGET`` elements, keeping ``w`` columns.
+        """Sort the truncated distances in row blocks of ``core._DIFF_BUDGET`` elements, keeping ``w`` columns.
 
         A read-only ``points`` array is kept by reference; a writable one is
         copied, so a caller changing it later cannot change ``entries``.

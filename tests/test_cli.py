@@ -136,15 +136,15 @@ class TestExitCodes:
                 (("tail-fit", "--input", "nope.csv", "--x-min", value), "argument --x-min: expected a positive number")
                 for value in ("-1", "0", "nan", "inf")
             ],
-            (("bound", "--form", "theorem1-prob", "--gamma2", "nan"), "gamma2 must be finite, got nan"),
-            (("bound", "--form", "theorem1-exp", "--mutual-info-1", "inf"), "mutual_info_1 must be finite, got inf"),
-            (("bound", "--form", "theorem1-prob", "--loss-bound", "inf"), "loss_bound must be finite, got inf"),
-            (("bound", "--form", "corollary1", "--alpha", "inf"), "alpha must be finite, got inf"),
             *[
                 (("bound", "--form", "theorem1-prob", "--delta", "0.9", "--unbounded-loss-tail", tail),
                  f"delta + unbounded_loss_tail must be below 1, got {0.9 + float(tail)}")
                 for tail in ("0.5", "5")
             ],
+            (("bound", "--form", "theorem1-prob", "--gamma2", "nan"), "gamma2 must be finite, got nan"),
+            (("bound", "--form", "theorem1-exp", "--mutual-info-1", "inf"), "mutual_info_1 must be finite, got inf"),
+            (("bound", "--form", "theorem1-prob", "--loss-bound", "inf"), "loss_bound must be finite, got inf"),
+            (("bound", "--form", "corollary1", "--alpha", "inf"), "alpha must be finite, got inf"),
         ],
     )
     def test_count_and_range_flags_rejected_before_any_work(self, capsys, tmp_path, monkeypatch, argv, message):

@@ -95,8 +95,7 @@ class TestTruncatedGram:
         walk = simulate(ProcessSpec("gaussian_walk", 2, 30, 3))
         assert TruncatedGram.from_points(walk.points, 1.0).points is walk.points
         pts = random_points(rng, 30)
-        g = TruncatedGram.from_points(pts, 0.3)
-        before = g.entries.copy()
+        before = TruncatedGram.from_points(pts, 0.3).entries.copy()
         g = TruncatedGram.from_points(pts, 0.3)
         pts[:] = 0.0
         assert not g.points.flags.writeable
@@ -105,8 +104,8 @@ class TestTruncatedGram:
     def test_figure1_cell_estimate_peak_memory(self):
         """The stable-arm figure-1 cell (w = 699 of n = 1,001) estimates within 32 MB.
 
-        Holding the full (n, n) entries and sorted entries with the layout
-        peaked at 47 MB here.
+        A Gram that also held the (n, n) entries and the (n, w + 1) sorted
+        entries peaked at 47.3 MB on this cell.
         """
         seed = Seed(777).spawn(0, 3)
         params = experiments.StudySpec("figure1_ordering").params
@@ -182,9 +181,10 @@ class TestFtObjective:
             p = rng.dirichlet(np.full(n, 0.3))
             cum = np.cumsum(p[g.order], axis=1)
             stored = np.einsum("ij,ij->i", g.segments, np.sqrt(np.abs(np.log(np.clip(cum, MASS_FLOOR, 1.0)))))
-            assert ft_objective(g, p) == float(stored.max(initial=0.0)) / g.rho
+            assert ft_objective(g, p) == float(stored.max()) / g.rho
         assert trimmed >= 20
-        # above the diameter the last row sorts to its own largest distance; no points apart, no columns
+        # rho above the diameter: each row's width comes from its own largest distance;
+        # identical points and a single point keep no columns
         assert widths[-3] > 0 and widths[-2:] == [0, 0]
 
     def test_weight_length_mismatch(self):
