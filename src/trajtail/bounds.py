@@ -8,6 +8,7 @@ universal constant".
 from __future__ import annotations
 
 import logging
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -71,6 +72,8 @@ class BoundInputs:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
+        if self.n > sys.float_info.max:  # the bounds take sqrt(float(n))
+            raise ValueError("n must fit in a float64")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         for name in ("gamma2", "mutual_info_inf", "mutual_info_1", "unbounded_loss_tail"):
@@ -90,13 +93,14 @@ class BoundInputs:
 
 def theorem1_high_prob_bound(inp: BoundInputs) -> float:
     """High-probability bound: k1 * L_rho * (gamma2/sqrt(n) + sqrt((log(1/delta) + I_inf)/n))."""
-    tail = np.sqrt((np.log(1.0 / inp.delta) + inp.mutual_info_inf) / inp.n)
-    return float(inp.k1 * inp.l_rho * (inp.gamma2 / np.sqrt(inp.n) + tail))
+    n = float(inp.n)
+    tail = np.sqrt((np.log(1.0 / inp.delta) + inp.mutual_info_inf) / n)
+    return float(inp.k1 * inp.l_rho * (inp.gamma2 / np.sqrt(n) + tail))
 
 
 def theorem1_expectation_bound(inp: BoundInputs) -> float:
     """Expectation bound: k2 * L_rho * (gamma2 + sqrt(I_1)) / sqrt(n)."""
-    return float(inp.k2 * inp.l_rho * (inp.gamma2 + np.sqrt(inp.mutual_info_1)) / np.sqrt(inp.n))
+    return float(inp.k2 * inp.l_rho * (inp.gamma2 + np.sqrt(inp.mutual_info_1)) / np.sqrt(float(inp.n)))
 
 
 def corollary1_bound(alpha: float, rho: float, c_rho: float) -> float:

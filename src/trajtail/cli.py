@@ -24,8 +24,6 @@ from .errors import DataError, TrajectoryFormatError
 from .experiments import STUDIES, StudySpec, _jsonable, emit_report, run_study
 from .simulate import PROCESS_KINDS, PROCESS_PARAMS, ProcessSpec, simulate
 
-log = logging.getLogger("trajtail")
-
 _KIND_ALIASES = {k.replace("_", "-"): k for k in PROCESS_KINDS}
 _STUDY_ALIASES = {s.replace("_", "-"): s for s in STUDIES}
 # Parsed keys a report's config leaves out: parser bookkeeping, where files go,
@@ -232,13 +230,29 @@ def _attempt(report: dict, key: str, fn) -> None:
         report[f"{key}_error"] = str(exc)
 
 
-def cmd_ballmass(args) -> dict:
-    trajectory = core.load_trajectory(args.input, args.has_header)
-    lags = args.lags
+def _ball_mass(args, trajectory, lags=(1,), mode="average"):
+    """The grid (quantiles of the step norms at lag ``min(lags)``) and the ball-mass curve on it."""
     norms = np.linalg.norm(core.increments(trajectory, min(lags)), axis=1)
     grid = _radius_grid(args, norms, args.level_lo, args.level_hi)
-    curve = exponents.ball_mass_curve(trajectory, lags, grid, mode=args.mode)
-    report: dict = {"command": "ballmass", "lags": lags, "mode": args.mode, "n_radii": len(grid)}
+    return grid, exponents.ball_mass_curve(trajectory, lags, grid, mode=mode)
+
+
+def _k_function(args, trajectory):
+    """The grid (quantiles of the pair distances) and the K-function on it."""
+    grid = _radius_grid(args, trajectory.pair_distances(), args.level_lo, args.level_hi)
+    return grid, spatial.k_function(trajectory, grid)
+
+
+def _cover(args, trajectory, rho: float):
+    """The grid (pair-distance quantiles at levels ``--level-lo``..1) and the covering profile on it."""
+    grid = _radius_grid(args, trajectory.pair_distances(), args.level_lo, 1.0, rho)
+    return grid, spatial.covering_numbers(trajectory, grid, rho)
+
+
+def cmd_ballmass(args) -> dict:
+    trajectory = core.load_trajectory(args.input, args.has_header)
+    grid, curve = _ball_mass(args, trajectory, args.lags, args.mode)
+    report: dict = {"command": "ballmass", "lags": args.lags, "mode": args.mode, "n_radii": len(grid)}
     _attempt(report, "exponent", lambda: exponents.exponent_from_ball_mass(curve, window=args.window))
     _write_curve(args, "ballmass", grid.radii, curve.masses, "radius,mass")
     return report
@@ -246,8 +260,7 @@ def cmd_ballmass(args) -> dict:
 
 def cmd_kfunction(args) -> dict:
     trajectory = core.load_trajectory(args.input, args.has_header)
-    grid = _radius_grid(args, trajectory.pair_distances(), args.level_lo, args.level_hi)
-    curve = spatial.k_function(trajectory, grid)
+    grid, curve = _k_function(args, trajectory)
     report: dict = {"command": "kfunction", "n": curve.n, "diameter": curve.diameter, "n_radii": len(grid)}
     _attempt(report, "slope", lambda: spatial.k_function_slope(curve, window=args.window))
     _write_curve(args, "kfunction", grid.radii, curve.values, "radius,k_value")
@@ -256,8 +269,7 @@ def cmd_kfunction(args) -> dict:
 
 def cmd_cover(args) -> dict:
     trajectory = core.load_trajectory(args.input, args.has_header)
-    grid = _radius_grid(args, trajectory.pair_distances(), args.level_lo, 1.0, args.rho)
-    profile = spatial.covering_numbers(trajectory, grid, args.rho)
+    grid, profile = _cover(args, trajectory, args.rho)
     _write_curve(args, "cover", grid.radii, profile.counts, "radius,count")
     return {
         "command": "cover",
@@ -317,7 +329,6 @@ def cmd_study(args) -> dict:
     result = run_study(spec, threads=args.threads)
     out_dir = Path(args.out_dir) if args.out_dir is not None else Path(".")
     paths = emit_report(result, out_dir)
-    log.info("study runtime: %.1fs", result.runtime_seconds)
     return {
         "command": "study",
         "study": name,
@@ -361,31 +372,15 @@ def cmd_analyze(args) -> dict:
         lambda: dataclasses.asdict(exponents.lower_tail_exponent_reciprocal(trajectory)),
     )
 
+    _attempt(
+        report,
+        "ball_mass_exponent",
+        lambda: exponents.exponent_from_ball_mass(_ball_mass(args, trajectory)[1], window=args.mass_window),
+    )
     steps = core.increments(trajectory, 1)
-
-    def ball_exponent():
-        grid = _radius_grid(args, np.linalg.norm(steps, axis=1), args.level_lo, args.level_hi)
-        curve = exponents.ball_mass_curve(trajectory, (1,), grid)
-        return exponents.exponent_from_ball_mass(curve, window=args.mass_window)
-
-    _attempt(report, "ball_mass_exponent", ball_exponent)
     _attempt(report, "stable_index", lambda: exponents.stable_index(steps.ravel(), args.block_size).alpha_hat)
-
-    def k_slope():
-        grid = _radius_grid(args, trajectory.pair_distances(), args.level_lo, args.level_hi)
-        return spatial.k_function_slope(spatial.k_function(trajectory, grid))
-
-    _attempt(report, "k_function_slope", k_slope)
-
-    def dudley():
-        grid = _radius_grid(args, ft_input.pair_distances(), args.level_lo, 1.0, rho)
-        profile = spatial.covering_numbers(ft_input, grid, rho)
-        dominates = spatial.dudley_dominates(est.value, profile)
-        if not dominates:
-            log.warning("entropy-integral diagnostic violated: gamma2=%.4f dudley=%.4f", est.value, profile.dudley_value)
-        return {"dudley_value": profile.dudley_value, "dominates": dominates}
-
-    _attempt(report, "covering", dudley)
+    _attempt(report, "k_function_slope", lambda: spatial.k_function_slope(_k_function(args, trajectory)[1]))
+    _attempt(report, "covering", lambda: {"dudley_value": _cover(args, ft_input, rho)[1].dudley_value})
     return report
 
 

@@ -156,7 +156,6 @@ class StudyResult:
     raw: dict[str, np.ndarray]
     verdicts: dict[str, bool]
     diagnostics: dict[str, float]
-    runtime_seconds: float
 
 
 def _pairwise_sum(values: np.ndarray) -> float:
@@ -334,7 +333,7 @@ def run_study(spec: StudySpec, threads: int = 1) -> StudyResult:
     verdicts, diagnostics = _verdicts(spec.study, grid, stats)
     runtime = time.perf_counter() - start
     log.info("study %s finished in %.1fs; verdicts=%s", spec.study, runtime, verdicts)
-    return StudyResult(spec, grid, grid_label, stats, raw, verdicts, diagnostics, runtime)
+    return StudyResult(spec, grid, grid_label, stats, raw, verdicts, diagnostics)
 
 
 def _fmt(x) -> str:
@@ -345,9 +344,8 @@ def emit_report(result: StudyResult, out_dir: str | Path) -> list[Path]:
     """Write one JSON summary plus one CSV per statistic curve.
 
     A single-statistic study writes ``<study>.csv``; multi-statistic studies
-    write ``<study>_<stat>.csv``.  The wall-clock runtime is deliberately not
-    serialized (the JSON field is null) so re-runs are byte-identical; it is
-    available on the in-memory result and in the log.
+    write ``<study>_<stat>.csv``.  The wall-clock runtime is not written, so
+    re-runs are byte-identical; ``run_study`` logs it.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -366,7 +364,6 @@ def emit_report(result: StudyResult, out_dir: str | Path) -> list[Path]:
         "verdicts": result.verdicts,
         "diagnostics": result.diagnostics,
         "seed": spec.seed,
-        "runtime_seconds": None,
     }
     paths = []
     json_path = out_dir / f"{spec.study}.json"

@@ -189,6 +189,7 @@ class SubgradientOptions:
             raise ValueError("iterations and restarts must be >= 1")
         if self.dtype not in ("float64", "float32"):
             raise ValueError(f"dtype must be float64 or float32, got {self.dtype}")
+        Seed(self.seed)  # raises on a seed outside the 64-bit unsigned range
 
 
 DEFAULT_OPTIONS = SubgradientOptions()

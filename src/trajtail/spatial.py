@@ -20,11 +20,9 @@ __all__ = [
     "k_function",
     "k_function_slope",
     "covering_numbers",
-    "dudley_dominates",
 ]
 
 DEFAULT_PAIR_WINDOW = (0.005, 0.1)
-DUDLEY_FACTOR = 3.0
 
 
 @dataclass(frozen=True)
@@ -53,14 +51,13 @@ class CoveringProfile:
     certificate.
     """
 
-    radii: RadiusGrid
     counts: np.ndarray
     dudley_value: float
 
     def __post_init__(self):
         c = np.asarray(self.counts, dtype=np.int64)
-        if c.shape != (len(self.radii),):
-            raise ValueError("counts must match the radius grid length")
+        if c.ndim != 1:
+            raise ValueError("counts must be one-dimensional")
         if np.any(c < 1) or np.any(np.diff(c) > 0):
             raise ValueError("counts must be positive and nonincreasing in r")
         c.setflags(write=False)
@@ -136,13 +133,5 @@ def covering_numbers(trajectory: Trajectory, radii: RadiusGrid, rho: float) -> C
     eval_r = np.concatenate([[0.0], inside, [rho]])
     integrand = np.sqrt(np.log(counts_at(eval_r).astype(np.float64)))
     dudley = float(np.trapezoid(integrand, eval_r) / rho)
-    return CoveringProfile(radii, counts, dudley)
+    return CoveringProfile(counts, dudley)
 
-
-def dudley_dominates(gamma2_value: float, profile: CoveringProfile) -> bool:
-    """Diagnostic: does ``DUDLEY_FACTOR * dudley_value`` dominate the functional estimate?
-
-    The chaining constant is unknown, so violations are reported by callers
-    rather than asserted.
-    """
-    return gamma2_value <= DUDLEY_FACTOR * profile.dudley_value + 1e-9

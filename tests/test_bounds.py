@@ -57,6 +57,13 @@ class TestTheorem1:
         b = theorem1_expectation_bound(make_inputs(gamma2=1.0, k2=1.0))
         assert a == pytest.approx(3.0 * b, rel=1e-15)
 
+    def test_huge_n_evaluated_as_float(self):
+        inp = make_inputs(gamma2=0.5, mutual_info_1=4.0, n=10**33)  # log(1/delta) = 1
+        assert theorem1_high_prob_bound(inp) == pytest.approx((0.5 + 1.0) / np.sqrt(1e33), rel=1e-14)
+        assert theorem1_expectation_bound(inp) == pytest.approx((0.5 + 2.0) / np.sqrt(1e33), rel=1e-14)
+        with pytest.raises(ValueError, match="^n must fit in a float64$"):
+            make_inputs(n=10**400)
+
     def test_delta_validation(self):
         with pytest.raises(ValueError):
             make_inputs(delta=0.0)

@@ -145,6 +145,9 @@ class TestExitCodes:
             (("bound", "--form", "theorem1-exp", "--mutual-info-1", "inf"), "mutual_info_1 must be finite, got inf"),
             (("bound", "--form", "theorem1-prob", "--loss-bound", "inf"), "loss_bound must be finite, got inf"),
             (("bound", "--form", "corollary1", "--alpha", "inf"), "alpha must be finite, got inf"),
+            (("gamma2", "--input", "nope.csv", "--seed", "-1"), "seed must be a 64-bit unsigned integer"),
+            (("analyze", "--input", "nope.csv", "--seed", "99999999999999999999999"),
+             "seed must be a 64-bit unsigned integer"),
         ],
     )
     def test_count_and_range_flags_rejected_before_any_work(self, capsys, tmp_path, monkeypatch, argv, message):
@@ -565,6 +568,13 @@ class TestBoundCommand:
         assert code == 0
         assert parse(out)["value"] == pytest.approx(0.1)
 
+    def test_huge_n(self, capsys):
+        code, out, err = run_cli(capsys, "bound", "--form", "theorem1-exp", "--gamma2", "1", "--n", "1" + "0" * 33)
+        assert code == 0 and err == ""
+        assert parse(out)["value"] == pytest.approx(1.0 / np.sqrt(1e33), rel=1e-14)
+        code, out, err = run_cli(capsys, "bound", "--form", "theorem1-exp", "--n", "1" + "0" * 400)
+        assert code == 2 and out == "" and "n must fit in a float64" in err
+
     def test_corollary1(self, capsys):
         code, out, _ = run_cli(capsys, "bound", "--form", "corollary1", "--alpha", "1", "--rho", "1", "--c-rho", "1")
         assert code == 0
@@ -653,6 +663,25 @@ class TestStudyCommand:
         assert summary["grid"] == recorded
 
 
+_RADII_READS = {"level_lo": "--level-lo", "level_hi": "--level-hi", "radii_num": "--radii-num"}
+# Each analyze entry: the subcommand that reproduces it, the analyze flags that subcommand reads (by config key,
+# with the subcommand's flag name), the entry, and the same value read from the subcommand's report.
+_ANALYZE_ENTRIES = {
+    "gamma2": ("gamma2", {"rho": "--rho", "iterations": "--iterations", "restarts": "--restarts", "seed": "--seed",
+                          "ft_dtype": "--ft-dtype"},
+               lambda doc: (doc["gamma2"], doc["gamma2_method"]), lambda doc: (doc["gamma2"], doc["method"])),
+    "reciprocal_power_law": ("tail-fit", {}, lambda doc: doc["reciprocal_power_law"],
+                             lambda doc: {k: v for k, v in doc.items() if k not in ("command", "config")}),
+    "stable_index": ("stable-index", {"block_size": "--block-size"}, lambda doc: doc["stable_index"],
+                     lambda doc: doc["alpha_hat"]),
+    "ball_mass_exponent": ("ballmass", {"mass_window": "--window", **_RADII_READS},
+                           lambda doc: doc["ball_mass_exponent"], lambda doc: doc["exponent"]),
+    "k_function_slope": ("kfunction", _RADII_READS, lambda doc: doc["k_function_slope"], lambda doc: doc["slope"]),
+    "covering": ("cover", {"rho": "--rho", "level_lo": "--level-lo", "radii_num": "--radii-num"},
+                 lambda doc: doc["covering"]["dudley_value"], lambda doc: doc["dudley_value"]),
+}
+
+
 class TestAnalyze:
     def test_bundled_report(self, capsys, walk_csv):
         code, out, _ = run_cli(
@@ -685,20 +714,31 @@ class TestAnalyze:
         for key in ("ball_mass_exponent", "k_function_slope"):
             assert doc[key] is None
             assert "no positive values" in doc[f"{key}_error"]
-        assert doc["covering"] == {"dudley_value": 0.0, "dominates": True}
+        assert doc["covering"] == {"dudley_value": 0.0}
 
-    @pytest.mark.parametrize("flags", [("--rho", "1"), ("--rho", "20", "--level-lo", "0.01", "--radii-num", "12")])
-    def test_covering_matches_cover(self, capsys, tmp_path, flags):
-        """Without ``--normalize``, on a file no longer than the window, the covering grid is ``cover``'s."""
+    @pytest.mark.parametrize(
+        "flags",
+        [("--rho", "3"), ("--rho", "20", "--level-lo", "0.01", "--level-hi", "0.4", "--radii-num", "24",
+                          "--block-size", "5", "--mass-window", "0.02,0.5", "--iterations", "60")],
+    )
+    @pytest.mark.parametrize("entry", sorted(_ANALYZE_ENTRIES))
+    def test_entry_matches_subcommand(self, capsys, tmp_path, entry, flags):
+        """Without ``--normalize``, on a file no longer than the window, each entry is its subcommand's output."""
         walk = tmp_path / "levy.csv"
-        sim = ("simulate", "--kind", "stable-levy-walk", "--steps", "150", "--seed", "3", "--out", str(walk))
+        sim = ("simulate", "--kind", "stable-levy-walk", "--steps", "200", "--seed", "3", "--out", str(walk))
         assert run_cli(capsys, *sim)[0] == 0
-        code, out, _ = run_cli(capsys, "analyze", "--input", str(walk), *flags, *_FT_SMALL)
+        code, out, _ = run_cli(capsys, "analyze", "--input", str(walk), *_FT_SMALL, *flags)
         assert code == 0
-        analyzed = parse(out)["covering"]["dudley_value"]
-        code, out, _ = run_cli(capsys, "cover", "--input", str(walk), *flags)
-        assert code == 0
-        assert analyzed == parse(out)["dudley_value"]
+        doc = parse(out)
+        command, reads, analyzed, reported = _ANALYZE_ENTRIES[entry]
+        argv = [command, "--input", str(walk)]
+        for key, flag in reads.items():  # analyze's recorded value of each flag the subcommand reads
+            value = doc["config"][key]
+            argv += [flag, ",".join(map(str, value)) if isinstance(value, list) else str(value)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert analyzed(doc) is not None
+        assert analyzed(doc) == reported(parse(out))
 
     def test_window_override(self, capsys, walk_csv):
         code, out, _ = run_cli(

@@ -3,10 +3,9 @@ import pytest
 
 from trajtail.core import RadiusGrid, Seed, Trajectory
 from trajtail.errors import InsufficientDataError
-from trajtail.ft import estimate_gamma2, SubgradientOptions
 from trajtail.spatial import (
+    CoveringProfile,
     covering_numbers,
-    dudley_dominates,
     k_function,
     k_function_slope,
 )
@@ -103,15 +102,7 @@ class TestCoveringNumbers:
         assert profile.dudley_value > 0.0
 
 
-class TestDudleyDiagnostic:
-    def test_dominates_on_simple_sets(self, rng):
-        for _ in range(5):
-            pts = rng.uniform(size=(int(rng.integers(5, 40)), 2))
-            t = Trajectory(pts)
-            est = estimate_gamma2(t, 1.0, options=SubgradientOptions(iterations=200, restarts=1))
-            from scipy.spatial.distance import pdist
-
-            radii = np.unique(np.quantile(pdist(pts), np.geomspace(0.02, 1.0, 24)))
-            profile = covering_numbers(t, RadiusGrid(radii), 1.0)
-            assert dudley_dominates(est.value, profile) in (True, False)
-            assert dudley_dominates(0.0, profile)
+    def test_profile_checks_counts(self):
+        for counts in ([[2, 1]], [0, 0], [1, 2]):
+            with pytest.raises(ValueError, match="counts must be"):
+                CoveringProfile(np.asarray(counts), 0.0)
