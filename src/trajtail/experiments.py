@@ -13,9 +13,9 @@ import json
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -48,7 +48,6 @@ _DEFAULT_PARAMS: dict[str, dict[str, Any]] = {
         "rho": 1.0,
         "normalization": "full",
         "ft_iterations": 25,
-        "ft_restarts": 1,
         "ft_dtype": "float32",
     },
     "appendix_c_curve": {
@@ -60,7 +59,6 @@ _DEFAULT_PARAMS: dict[str, dict[str, Any]] = {
         "rho": 0.25,
         "normalization": "full",
         "ft_iterations": 300,
-        "ft_restarts": 1,
         "ft_dtype": "float64",
     },
     "gaussian_dimension": {
@@ -88,7 +86,8 @@ def _typed(key: str, value: Any, default: Any) -> Any:
 
     Strings are parsed; other values must convert without change (no float
     truncates into an int).  A tuple default takes a comma-separated string,
-    a sequence or one value, converted element by element.
+    a sequence or one value, converted element by element.  Every number
+    must be finite and above zero.
     """
     if isinstance(default, tuple):
         if isinstance(value, str):
@@ -100,11 +99,14 @@ def _typed(key: str, value: Any, default: Any) -> Any:
         return tuple(_typed(key, item, default[0]) for item in value)
     try:
         typed = type(default)(value)
-        if isinstance(value, str) or typed == value:
-            return typed
+        converted = isinstance(value, str) or typed == value
     except (TypeError, ValueError):
-        pass
-    raise ValueError(f"parameter {key!r} expects {type(default).__name__}, got {value!r}")
+        converted = False
+    if not converted:
+        raise ValueError(f"parameter {key!r} expects {type(default).__name__}, got {value!r}")
+    if isinstance(typed, (int, float)) and not 0 < typed < np.inf:
+        raise ValueError(f"parameter {key!r} must be positive and finite, got {value!r}")
+    return typed
 
 
 @dataclass(frozen=True)
@@ -113,13 +115,16 @@ class StudySpec:
 
     ``replicates`` left as None becomes the study's default count.  ``params``
     becomes every study parameter: the defaults, with each given override
-    converted once to the type of the default it replaces.
+    converted once to the type of the default it replaces.  ``grid`` holds
+    the values the study sweeps, in cell order, and ``grid_label`` names them.
     """
 
     study: str
     replicates: int | None = None
     seed: int = 0
     params: Mapping[str, Any] = field(default_factory=dict)
+    grid: tuple = field(init=False)
+    grid_label: str = field(init=False)
 
     def __post_init__(self):
         if self.study not in STUDIES:
@@ -133,7 +138,21 @@ class StudySpec:
         elif self.replicates < 1:
             raise ValueError("replicates must be >= 1")
         typed = {key: _typed(key, value, defaults[key]) for key, value in self.params.items()}
-        object.__setattr__(self, "params", {**defaults, **typed})
+        p = {**defaults, **typed}
+        object.__setattr__(self, "params", p)
+        if self.study == "figure1_ordering":
+            grid, label = ("stable", "gaussian"), "process"
+        elif self.study == "appendix_c_curve":
+            # the verdict and the regressions compare neighbouring grid points
+            if p["alpha_points"] < 2:
+                raise ValueError(f"parameter 'alpha_points' must be >= 2, got {p['alpha_points']}")
+            grid, label = tuple(np.geomspace(p["alpha_lo"], p["alpha_hi"], p["alpha_points"])), "bp_alpha"
+        elif self.study == "gaussian_dimension":
+            grid, label = p["dims"], "dim"
+        else:
+            grid, label = p["stable_alphas"], "stable_alpha"
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "grid_label", label)
 
 
 @dataclass(frozen=True)
@@ -150,8 +169,6 @@ class CurveStats:
 @dataclass(frozen=True)
 class StudyResult:
     spec: StudySpec
-    grid: tuple
-    grid_label: str
     stats: dict[str, CurveStats]
     raw: dict[str, np.ndarray]
     verdicts: dict[str, bool]
@@ -217,26 +234,24 @@ def _normalize(trajectory, mode: str):
     return Trajectory(trajectory.points / np.where(sd > 0, sd, 1.0))
 
 
-def _gamma2(process: ProcessSpec, seed: Seed, params: Mapping[str, Any]) -> dict[str, float]:
+def _gamma2(process: ProcessSpec, params: Mapping[str, Any]) -> dict[str, float]:
     """Functional of one normalized simulated walk: the body of both functional cells."""
     walk = _normalize(simulate(process), params["normalization"])
-    # each option but the seed is the study parameter ``ft_<field>``
-    tuned = {f.name: params[f"ft_{f.name}"] for f in fields(SubgradientOptions) if f.name != "seed"}
-    options = SubgradientOptions(seed=seed.spawn(1).base, **tuned)
+    options = SubgradientOptions(iterations=params["ft_iterations"], dtype=params["ft_dtype"])
     return {"gamma2": estimate_gamma2(walk, rho=params["rho"], options=options).value}
 
 
-def _cell_figure1(arm: str, seed: Seed, params: Mapping[str, Any]) -> dict[str, float]:
+def _cell_figure1_ordering(arm: str, seed: Seed, params: Mapping[str, Any]) -> dict[str, float]:
     kind = "stable_levy_walk" if arm == "stable" else "gaussian_walk"
     process = ProcessSpec(kind, params["dim"], params["steps"], seed.spawn(0).base, stable_alpha=params["stable_alpha"])
-    return _gamma2(process, seed, params)
+    return _gamma2(process, params)
 
 
-def _cell_appendix_c(alpha: float, seed: Seed, params: Mapping[str, Any]) -> dict[str, float]:
+def _cell_appendix_c_curve(alpha: float, seed: Seed, params: Mapping[str, Any]) -> dict[str, float]:
     process = ProcessSpec(
         "beta_prime_walk", 2, params["steps"], seed.spawn(0).base, bp_alpha=alpha, bp_beta=params["beta"]
     )
-    return _gamma2(process, seed, params)
+    return _gamma2(process, params)
 
 
 def _cell_gaussian_dimension(dim: int, seed: Seed, params: Mapping[str, Any]) -> dict[str, float]:
@@ -255,23 +270,6 @@ def _cell_exponent_comparison(alpha_s: float, seed: Seed, params: Mapping[str, A
     lower = lower_tail_exponent_reciprocal(walk).alpha_survival
     stable = stable_index(increments(walk, 1).ravel(), params["block_size"]).alpha_hat
     return {"alpha_lower_tail": lower, "alpha_stable": stable}
-
-
-def _study_plan(spec: StudySpec):
-    """Grid, grid label, cell function and parameters of a study.
-
-    Cells are looked up as module globals per call, so a wrapper set on the
-    module attribute (as the span tracer does) sees every cell.
-    """
-    p = spec.params
-    if spec.study == "figure1_ordering":
-        return ("stable", "gaussian"), "process", _cell_figure1, p
-    if spec.study == "appendix_c_curve":
-        grid = tuple(np.geomspace(p["alpha_lo"], p["alpha_hi"], p["alpha_points"]))
-        return grid, "bp_alpha", _cell_appendix_c, p
-    if spec.study == "gaussian_dimension":
-        return p["dims"], "dim", _cell_gaussian_dimension, p
-    return p["stable_alphas"], "stable_alpha", _cell_exponent_comparison, p
 
 
 def _verdicts(study: str, grid, stats: dict[str, CurveStats]):
@@ -310,30 +308,21 @@ def run_study(spec: StudySpec, threads: int = 1) -> StudyResult:
 
     Cell seeds derive from (base seed, grid index, replicate index), and the
     reduction order is fixed, so the result does not depend on ``threads``.
+    The cell function is the module attribute ``_cell_<study>``, looked up
+    per call, so a wrapper set on it (as the span tracer does) sees every cell.
     """
     start = time.perf_counter()
-    grid, grid_label, cell_fn, params = _study_plan(spec)
-    reps = spec.replicates
-    base = Seed(spec.seed)
+    grid, reps, base = spec.grid, spec.replicates, Seed(spec.seed)
+    cell_fn = globals()[f"_cell_{spec.study}"]
     cells = [(gi, ri) for gi in range(len(grid)) for ri in range(reps)]
-
-    def run_cell(cell):
-        gi, ri = cell
-        return cell_fn(grid[gi], base.spawn(gi, ri), params)
-
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        outputs = list(pool.map(run_cell, cells))
-
-    names = sorted(outputs[0])
-    raw = {name: np.empty((len(grid), reps)) for name in names}
-    for (gi, ri), out in zip(cells, outputs):
-        for name in names:
-            raw[name][gi, ri] = out[name]
-    stats = {name: _curve_stats(raw[name]) for name in names}
+        outputs = list(pool.map(lambda c: cell_fn(grid[c[0]], base.spawn(*c), spec.params), cells))
+    raw = {name: np.reshape([out[name] for out in outputs], (len(grid), reps)) for name in sorted(outputs[0])}
+    stats = {name: _curve_stats(values) for name, values in raw.items()}
     verdicts, diagnostics = _verdicts(spec.study, grid, stats)
     runtime = time.perf_counter() - start
     log.info("study %s finished in %.1fs; verdicts=%s", spec.study, runtime, verdicts)
-    return StudyResult(spec, grid, grid_label, stats, raw, verdicts, diagnostics)
+    return StudyResult(spec, stats, raw, verdicts, diagnostics)
 
 
 def _fmt(x) -> str:
@@ -358,8 +347,8 @@ def emit_report(result: StudyResult, out_dir: str | Path) -> list[Path]:
             "seed": spec.seed,
             "params": spec.params,
         },
-        "grid_label": result.grid_label,
-        "grid": result.grid,
+        "grid_label": spec.grid_label,
+        "grid": spec.grid,
         "stats": {name: asdict(s) for name, s in result.stats.items()},
         "verdicts": result.verdicts,
         "diagnostics": result.diagnostics,
@@ -373,9 +362,9 @@ def emit_report(result: StudyResult, out_dir: str | Path) -> list[Path]:
     for name, s in sorted(result.stats.items()):
         csv_path = out_dir / (f"{spec.study}.csv" if single else f"{spec.study}_{name}.csv")
         with csv_path.open("w", newline="") as handle:
-            writer = csv.writer(handle)
+            writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(["grid_value", "mean", "lo95", "hi95"])
-            for g, m, lo, hi in zip(result.grid, s.mean, s.lo95, s.hi95):
+            for g, m, lo, hi in zip(spec.grid, s.mean, s.lo95, s.hi95):
                 writer.writerow([_fmt(g), _fmt(m), _fmt(lo), _fmt(hi)])
         paths.append(csv_path)
     return paths

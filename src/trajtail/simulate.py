@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Seed, Trajectory
+from .errors import DegenerateDataError
 
 __all__ = [
     "PROCESS_KINDS",
@@ -38,9 +39,10 @@ class ProcessSpec:
     """Configuration of one simulated process.
 
     ``PROCESS_PARAMS`` names the fields each kind reads; it ignores the
-    others.  ``sigma`` (the step scale, or the gradient-noise scale of
-    ``perturbed_gd_quadratic``) and ``curvature`` are a scalar or one value
-    per coordinate.  ``stable_levy_walk`` adds i.i.d. symmetric stable
+    others, and each number it reads must be finite.  ``sigma`` (the step
+    scale, or the gradient-noise scale of ``perturbed_gd_quadratic``) and
+    ``curvature`` hold one value, or one value per coordinate.
+    ``stable_levy_walk`` adds i.i.d. symmetric stable
     coordinates of index ``stable_alpha`` in (0, 2]; ``beta_prime_walk`` is
     planar (``dim`` must be 2), with a uniform direction and a beta-prime step
     length; ``perturbed_gd_quadratic`` descends the quadratic from the
@@ -74,6 +76,12 @@ class ProcessSpec:
             raise ValueError("beta-prime shapes must be positive")
         if self.kind == "perturbed_gd_quadratic" and not self.gd_step > 0:
             raise ValueError(f"gd_step must be positive, got {self.gd_step}")
+        for name in PROCESS_PARAMS[self.kind]:
+            values = np.atleast_1d(np.asarray(getattr(self, name), dtype=np.float64))
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            if values.size not in (1, self.dim):
+                raise ValueError(f"{name} needs 1 or dim = {self.dim} values, got {values.size}")
 
     def _sigma_vector(self) -> np.ndarray:
         sig = np.broadcast_to(np.asarray(self.sigma, dtype=np.float64), (self.dim,))
@@ -139,7 +147,18 @@ def simulate(spec: ProcessSpec) -> Trajectory:
 
     Returns ``steps + 1`` points.  Draw order per kind is fixed (documented
     in each branch), so trajectories are bit-reproducible given the spec.
+    Raises :class:`DegenerateDataError` when a point leaves the float64 range.
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        points = _points(spec)
+    bad = ~np.isfinite(points).all(axis=1)
+    if bad.any():
+        raise DegenerateDataError(f"{spec.kind} trajectory leaves the float64 range at row {int(np.argmax(bad))}")
+    return Trajectory(points)
+
+
+def _points(spec: ProcessSpec) -> np.ndarray:
+    """The ``(steps + 1, dim)`` points of ``simulate``, unchecked."""
     rng = Seed(spec.seed).generator()
     n, d = spec.steps, spec.dim
     if spec.kind == "gaussian_walk":
@@ -165,9 +184,8 @@ def simulate(spec: ProcessSpec) -> Trajectory:
         for k in range(n):
             w = w - spec.gd_step * (curv * w + noise[k])
             points[k + 1] = w
-        return Trajectory(points)
+        return points
     else:  # pragma: no cover - guarded by ProcessSpec
         raise ValueError(spec.kind)
 
-    points = np.vstack([np.zeros((1, d)), np.cumsum(deltas, axis=0)])
-    return Trajectory(points)
+    return np.vstack([np.zeros((1, d)), np.cumsum(deltas, axis=0)])

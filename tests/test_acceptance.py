@@ -132,7 +132,7 @@ def test_c05_alpha_monotonicity():
 def test_c06_gaussian_walk_dimension():
     result = run_study(StudySpec("gaussian_dimension", seed=2024), threads=2)
     mean = result.stats["alpha_hat"].mean
-    errors = np.abs(mean - np.asarray(result.grid, dtype=float))
+    errors = np.abs(mean - np.asarray(result.spec.grid, dtype=float))
     ok = bool(np.all(errors <= 0.25))
     assert _criterion(6, "ball-mass exponent equals ambient dimension", ok,
                       f"means={np.round(mean, 3).tolist()}")

@@ -148,6 +148,11 @@ class TestExitCodes:
             (("gamma2", "--input", "nope.csv", "--seed", "-1"), "seed must be a 64-bit unsigned integer"),
             (("analyze", "--input", "nope.csv", "--seed", "99999999999999999999999"),
              "seed must be a 64-bit unsigned integer"),
+            (("simulate", "--kind", "gaussian-walk", "--sigma", "nan", "--out", "t.csv"), "sigma must be finite"),
+            (("simulate", "--kind", "perturbed-gd-quadratic", "--curvature", "nan", "--out", "t.csv"),
+             "curvature must be finite"),
+            (("simulate", "--kind", "gaussian-walk", "--sigma", "1,2", "--dim", "3", "--out", "t.csv"),
+             "sigma needs 1 or dim = 3 values, got 2"),
         ],
     )
     def test_count_and_range_flags_rejected_before_any_work(self, capsys, tmp_path, monkeypatch, argv, message):
@@ -176,6 +181,16 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, command, "--input", str(path))
         assert code == 1
         assert "line 2" in err and "argument error" not in err
+
+    @pytest.mark.parametrize(
+        "kind, flags", [("stable-levy-walk", ("--stable-alpha", "0.01")), ("perturbed-gd-quadratic", ("--gd-step", "5"))]
+    )
+    def test_overflowing_trajectory_is_data_error(self, capsys, tmp_path, kind, flags):
+        code, out, err = run_cli(capsys, "simulate", "--kind", kind, *flags, "--out", str(tmp_path / "t.csv"))
+        assert code == 1
+        assert err.startswith(f"error: {kind.replace('-', '_')} trajectory leaves the float64 range at row ")
+        assert err.count("\n") == 1 and "Warning" not in err
+        assert out == "" and list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["analyze", "gamma2"])
     def test_non_utf8_byte_is_data_error(self, capsys, tmp_path, command):
@@ -661,6 +676,40 @@ class TestStudyCommand:
         summary = json.loads((tmp_path / f"{name.replace('-', '_')}.json").read_text())
         assert summary["spec"]["params"][key] == recorded
         assert summary["grid"] == recorded
+
+    @pytest.mark.parametrize(
+        "name, param, message",
+        [
+            ("appendix-c-curve", "alpha_points=0", "parameter 'alpha_points' must be positive and finite"),
+            ("appendix-c-curve", "alpha_points=1", "parameter 'alpha_points' must be >= 2"),
+            ("gaussian-dimension", "n_radii=0", "parameter 'n_radii' must be positive and finite"),
+            ("figure1-ordering", "rho=nan", "parameter 'rho' must be positive and finite"),
+            ("exponent-comparison", "stable_alphas=1.5,inf", "parameter 'stable_alphas' must be positive and finite"),
+            ("figure1-ordering", "ft_restarts=2", "unknown parameters for figure1_ordering: ['ft_restarts']"),
+        ],
+    )
+    def test_bad_param_is_argument_error_before_any_cell(self, capsys, tmp_path, name, param, message):
+        code, out, err = run_cli(capsys, "study", "--name", name, "--param", param, "--out-dir", str(tmp_path))
+        assert code == 2
+        assert err.startswith("argument error: ") and message in err
+        assert "Traceback" not in err and "Warning" not in err
+        assert out == "" and list(tmp_path.iterdir()) == []
+
+    def test_written_files_end_lines_with_newline_only(self, capsys, tmp_path):
+        walk = tmp_path / "walk.csv"
+        runs = [
+            ("simulate", "--kind", "gaussian-walk", "--steps", "300", "--out", str(walk)),
+            ("ballmass", "--input", str(walk), "--out-dir", str(tmp_path / "ballmass")),
+            ("study", "--name", "exponent-comparison", "--replicates", "1", "--param", "steps=300",
+             "--param", "stable_alphas=1.2,1.8", "--out-dir", str(tmp_path / "study")),
+        ]
+        for argv in runs:
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 0, err
+        written = sorted(p for p in tmp_path.rglob("*") if p.is_file())
+        assert {p.suffix for p in written} == {".csv", ".json"} and len(written) >= 6
+        for path in written:
+            assert b"\r" not in path.read_bytes(), path.name
 
 
 _RADII_READS = {"level_lo": "--level-lo", "level_hi": "--level-hi", "radii_num": "--radii-num"}

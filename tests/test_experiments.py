@@ -53,6 +53,32 @@ class TestStudySpec:
         with pytest.raises(ValueError, match=repr(key)):
             StudySpec(study, params={key: value})
 
+    @pytest.mark.parametrize("study", experiments.STUDIES)
+    def test_defaults_pass_the_parameter_rule_unchanged(self, study):
+        for key, default in experiments._DEFAULT_PARAMS[study].items():
+            typed = experiments._typed(key, default, default)
+            assert typed == default and type(typed) is type(default), key
+
+    @pytest.mark.parametrize(
+        "key, value", [("rho", "nan"), ("rho", 0.0), ("steps", "-5"), ("ft_iterations", 0), ("alpha_hi", "inf")]
+    )
+    def test_numbers_must_be_positive_and_finite(self, key, value):
+        with pytest.raises(ValueError, match=f"parameter {key!r} must be positive and finite"):
+            StudySpec("appendix_c_curve", params={key: value})
+
+    def test_appendix_c_needs_two_grid_points(self):
+        with pytest.raises(ValueError, match="parameter 'alpha_points' must be >= 2, got 1"):
+            StudySpec("appendix_c_curve", params={"alpha_points": 1})
+        assert len(StudySpec("appendix_c_curve", params={"alpha_points": 2}).grid) == 2
+
+    def test_grid_resolved(self):
+        grids = {study: (StudySpec(study).grid, StudySpec(study).grid_label) for study in experiments.STUDIES}
+        assert grids["figure1_ordering"] == (("stable", "gaussian"), "process")
+        assert grids["appendix_c_curve"][0] == tuple(np.geomspace(1e-2, 1.0, 10))
+        assert grids["appendix_c_curve"][1] == "bp_alpha"
+        assert grids["gaussian_dimension"] == ((1, 2, 3), "dim")
+        assert grids["exponent_comparison"] == ((1.1, 1.3, 1.5, 1.7, 1.9), "stable_alpha")
+
     def test_defaults_resolved(self):
         spec = StudySpec("appendix_c_curve")
         assert spec.replicates == 100
@@ -84,7 +110,7 @@ class TestRunStudy:
         res = run_study(spec)
         assert set(res.stats) == {"gamma2"}
         assert set(res.verdicts) == {"stable_below_gaussian", "intervals_disjoint"}
-        assert res.grid == ("stable", "gaussian")
+        assert res.spec.grid == ("stable", "gaussian")
 
     def test_exponent_comparison_smoke(self):
         spec = StudySpec(
@@ -105,7 +131,7 @@ class TestRunStudy:
             params={"alpha_points": 3, "ft_iterations": 50},
         )
         res = run_study(spec)
-        assert len(res.grid) == 3
+        assert len(res.spec.grid) == 3
         assert "spearman" in res.diagnostics and "r2_log_alpha" in res.diagnostics
 
     def test_appendix_c_running_normalization(self, tmp_path):
@@ -123,10 +149,10 @@ class TestRunStudy:
         params = {"steps": 60, "alpha_points": 3, "normalization": "running"}
         spec = StudySpec("appendix_c_curve", replicates=1, seed=9, params=params)
         res = run_study(spec)
-        for gi, alpha in enumerate(res.grid):
+        for gi, alpha in enumerate(res.spec.grid):
             seed = Seed(9).spawn(gi, 0)
             walk = simulate(ProcessSpec("beta_prime_walk", 2, 60, seed.spawn(0).base, bp_alpha=alpha, bp_beta=3.5))
-            options = SubgradientOptions(iterations=300, restarts=1, dtype="float64", seed=seed.spawn(1).base)
+            options = SubgradientOptions(iterations=300, dtype="float64")
             running = estimate_gamma2(normalize_by_running_std(walk).trajectory, 0.25, options=options).value
             full = estimate_gamma2(experiments._normalize(walk, "full"), 0.25, options=options).value
             assert res.raw["gamma2"][gi, 0] == running != full
@@ -138,19 +164,22 @@ def test_each_cell_is_one_call_through_a_cell_attribute(monkeypatch):
     there at run time and make exactly one such call per cell."""
     calls = []
     for name in [a for a in vars(experiments) if a.startswith("_cell_")]:
-        def counted(*args, _fn=getattr(experiments, name), **kwargs):
-            calls.append(1)
+        def counted(*args, _fn=getattr(experiments, name), _name=name, **kwargs):
+            calls.append(_name)
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(experiments, name, counted)
     specs = (
         StudySpec("figure1_ordering", replicates=2, seed=1, params={"steps": 40, "ft_iterations": 5}),
         StudySpec("appendix_c_curve", replicates=2, seed=1, params={"alpha_points": 3, "ft_iterations": 5}),
+        StudySpec("gaussian_dimension", replicates=2, seed=1, params={"steps": 500, "dims": (1, 2)}),
+        StudySpec("exponent_comparison", replicates=2, seed=1, params={"steps": 300, "stable_alphas": (1.2, 1.8)}),
     )
+    assert {spec.study for spec in specs} == set(experiments.STUDIES)
     for spec in specs:
         calls.clear()
-        res = run_study(spec, threads=2)
-        assert len(calls) == len(res.grid) * spec.replicates
+        run_study(spec, threads=2)
+        assert calls == [f"_cell_{spec.study}"] * (len(spec.grid) * spec.replicates)
 
 
 def test_json_hook_writes_numpy_values_as_python_values():

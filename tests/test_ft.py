@@ -410,11 +410,12 @@ class TestSmoothedMaxStep:
     }
 
     def test_figure1_cells_beat_plain_descent_at_half_the_budget(self):
-        grid, _, cell, params = experiments._study_plan(experiments.StudySpec("figure1_ordering"))
+        spec = experiments.StudySpec("figure1_ordering")
+        params = spec.params
         assert params["ft_iterations"] <= 25
-        for gi, arm in enumerate(grid):
+        for gi, arm in enumerate(spec.grid):
             for rep, plain in enumerate(self.PLAIN_DESCENT_50[arm]):
-                value = cell(arm, Seed(2024).spawn(gi, rep), params)["gamma2"]
+                value = experiments._cell_figure1_ordering(arm, Seed(2024).spawn(gi, rep), params)["gamma2"]
                 assert value <= plain, (arm, rep, value, plain)
 
 

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import special, stats
 
 from trajtail.core import Seed, increments
+from trajtail.errors import DegenerateDataError
 from trajtail.simulate import (
     ProcessSpec,
     beta_prime_sample,
@@ -60,6 +63,42 @@ class TestSpecValidation:
     def test_gd_step_positive(self):
         with pytest.raises(ValueError):
             ProcessSpec("perturbed_gd_quadratic", dim=2, steps=10, seed=0, gd_step=0.0)
+
+    @pytest.mark.parametrize(
+        "kind, field, value",
+        [
+            ("gaussian_walk", "sigma", (1.0, np.nan)),
+            ("stable_levy_walk", "sigma", np.inf),
+            ("beta_prime_walk", "bp_beta", np.inf),
+            ("perturbed_gd_quadratic", "gd_step", np.inf),
+            ("perturbed_gd_quadratic", "curvature", (np.nan,)),
+        ],
+    )
+    def test_read_numbers_finite(self, kind, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            ProcessSpec(kind, dim=2, steps=10, seed=0, **{field: value})
+
+    def test_unread_numbers_not_checked(self):
+        ProcessSpec("beta_prime_walk", dim=2, steps=10, seed=0, sigma=np.nan, gd_step=np.inf)
+
+    @pytest.mark.parametrize("field", ["sigma", "curvature"])
+    def test_per_coordinate_values_match_dim(self, field):
+        ProcessSpec("perturbed_gd_quadratic", dim=3, steps=10, seed=0, **{field: (1.0, 2.0, 3.0)})
+        with pytest.raises(ValueError, match=f"^{field} needs 1 or dim = 3 values, got 2"):
+            ProcessSpec("perturbed_gd_quadratic", dim=3, steps=10, seed=0, **{field: (1.0, 2.0)})
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ProcessSpec("stable_levy_walk", dim=2, steps=500, seed=0, stable_alpha=0.01),
+            ProcessSpec("perturbed_gd_quadratic", dim=2, steps=1000, seed=0, gd_step=5.0),
+        ],
+    )
+    def test_leaving_float64_is_data_error_without_warnings(self, spec):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateDataError, match=f"^{spec.kind} trajectory leaves the float64 range at row"):
+                simulate(spec)
 
 
 class TestStableSampling:
