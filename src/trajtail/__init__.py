@@ -1,6 +1,7 @@
 """Trajectory geometry and tail-exponent diagnostics for stochastic optimizers."""
 
 from .core import (
+    DataError,
     RadiusGrid,
     Seed,
     SimplexWeights,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DegenerateDataError
+from .core import DataError
 from .exponents import BallMassCurve
 
 __all__ = [
@@ -137,7 +137,7 @@ def kernel_functional(curve: BallMassCurve, rho: float, dim: int) -> float:
     if n_zero:
         log.warning("trimmed %d zero-mass radii below rho", n_zero)
     if not keep.any():
-        raise DegenerateDataError("no positive masses at radii below rho")
+        raise DataError("no positive masses at radii below rho")
     r, m = r[keep], m[keep]
     const = (dim + 2) * np.log(3.0)
     integrand = np.sqrt(const - np.log(m))
@@ -165,7 +165,7 @@ def _log_i(s: float, x: float, log_x: float) -> float:
 
 def _finite_positive(name: str, value: float) -> float:
     if not 0.0 < value < np.inf:
-        raise DegenerateDataError(f"{name} = {value} lies outside the float64 range")
+        raise DataError(f"{name} = {value} lies outside the float64 range")
     return float(value)
 
 
@@ -203,7 +203,7 @@ def j_integral(a: float, horizon: float, rho: float, dim: int) -> float:
     is taken from log c, which is exact where c itself leaves the float64
     range (see ``_scaled_square``); below that range E1(c) = -euler_gamma -
     log c to within c, and for s <= 1 the second term is dropped once exp(-c)
-    underflows.  A J outside the float64 range raises ``DegenerateDataError``.
+    underflows.  A J outside the float64 range raises ``DataError``.
 
     J decreases in ``a`` but is not monotone in D: J(1, 1, 1, D) = 1.672,
     0.852, 0.658, 0.632 for D = 1..4, while for b < 1 the factor b^(1-D/2)
@@ -251,7 +251,7 @@ def gauss_radial_bounds_check(a: float, r: float, rho: float, dim: int) -> Gauss
     <= 1/s; ``holds`` compares the logs of these, allowing only their rounding:
     ``GAUSS_CHECK_SLACK`` times the largest log magnitude.  Each side is one
     exp of its summed logs, so it is returned wherever it lies in the float64
-    range; a side outside it raises ``DegenerateDataError``.
+    range; a side outside it raises ``DataError``.
     """
     if not (a > 0 and r > 0 and rho > 0):
         raise ValueError("a, r and rho must be positive")

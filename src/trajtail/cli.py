@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import core, exponents, ft, spatial
-from .errors import DataError, TrajectoryFormatError
+from .core import DataError
 from .experiments import STUDIES, StudySpec, _jsonable, emit_report, run_study
 from .simulate import PROCESS_KINDS, PROCESS_PARAMS, ProcessSpec, simulate
 
@@ -198,7 +198,6 @@ def cmd_tail_fit(args) -> dict:
 
 def cmd_stable_index(args) -> dict:
     trajectory = core.load_trajectory(args.input, args.has_header)
-    deltas = core.increments(trajectory, 1)
     if args.layer_sizes is not None:
         sizes = list(args.layer_sizes)
         if sum(sizes) != trajectory.dim:
@@ -209,7 +208,7 @@ def cmd_stable_index(args) -> dict:
             start += s
         result = exponents.layerwise_stable_index(trajectory, blocks, args.block_size)
     else:
-        result = exponents.stable_index(deltas.ravel(), args.block_size)
+        result = exponents.stable_index(core.increments(trajectory, 1).ravel(), args.block_size)
     return {"command": "stable-index", **dataclasses.asdict(result)}
 
 
@@ -231,16 +230,16 @@ def _attempt(report: dict, key: str, fn) -> None:
 
 
 def _ball_mass(args, trajectory, lags=(1,), mode="average"):
-    """The grid (quantiles of the step norms at lag ``min(lags)``) and the ball-mass curve on it."""
+    """The ball-mass curve on a grid at quantiles of the step norms at lag ``min(lags)``."""
     norms = np.linalg.norm(core.increments(trajectory, min(lags)), axis=1)
     grid = _radius_grid(args, norms, args.level_lo, args.level_hi)
-    return grid, exponents.ball_mass_curve(trajectory, lags, grid, mode=mode)
+    return exponents.ball_mass_curve(trajectory, lags, grid, mode=mode)
 
 
 def _k_function(args, trajectory):
-    """The grid (quantiles of the pair distances) and the K-function on it."""
+    """The K-function on a grid at quantiles of the pair distances."""
     grid = _radius_grid(args, trajectory.pair_distances(), args.level_lo, args.level_hi)
-    return grid, spatial.k_function(trajectory, grid)
+    return spatial.k_function(trajectory, grid)
 
 
 def _cover(args, trajectory, rho: float):
@@ -251,19 +250,19 @@ def _cover(args, trajectory, rho: float):
 
 def cmd_ballmass(args) -> dict:
     trajectory = core.load_trajectory(args.input, args.has_header)
-    grid, curve = _ball_mass(args, trajectory, args.lags, args.mode)
-    report: dict = {"command": "ballmass", "lags": args.lags, "mode": args.mode, "n_radii": len(grid)}
+    curve = _ball_mass(args, trajectory, args.lags, args.mode)
+    report: dict = {"command": "ballmass", "lags": args.lags, "mode": args.mode, "n_radii": len(curve.radii)}
     _attempt(report, "exponent", lambda: exponents.exponent_from_ball_mass(curve, window=args.window))
-    _write_curve(args, "ballmass", grid.radii, curve.masses, "radius,mass")
+    _write_curve(args, "ballmass", curve.radii.radii, curve.masses, "radius,mass")
     return report
 
 
 def cmd_kfunction(args) -> dict:
     trajectory = core.load_trajectory(args.input, args.has_header)
-    grid, curve = _k_function(args, trajectory)
-    report: dict = {"command": "kfunction", "n": curve.n, "diameter": curve.diameter, "n_radii": len(grid)}
+    curve = _k_function(args, trajectory)
+    report: dict = {"command": "kfunction", "n": curve.n, "diameter": curve.diameter, "n_radii": len(curve.radii)}
     _attempt(report, "slope", lambda: spatial.k_function_slope(curve, window=args.window))
-    _write_curve(args, "kfunction", grid.radii, curve.values, "radius,k_value")
+    _write_curve(args, "kfunction", curve.radii.radii, curve.values, "radius,k_value")
     return report
 
 
@@ -284,11 +283,11 @@ def _load_mass_curve(path: str) -> exponents.BallMassCurve:
     """The curve in a ``radius,mass`` CSV; a file that holds no valid curve is a data error."""
     rows = core.load_trajectory(path, has_header=True).points
     if rows.shape[1] != 2:
-        raise TrajectoryFormatError(f"{path}: expected 2 columns (radius,mass), got {rows.shape[1]}")
+        raise DataError(f"{path}: expected 2 columns (radius,mass), got {rows.shape[1]}")
     try:
         return exponents.BallMassCurve(core.RadiusGrid(rows[:, 0]), rows[:, 1])
     except ValueError as exc:
-        raise TrajectoryFormatError(f"{path}: {exc}") from None
+        raise DataError(f"{path}: {exc}") from None
 
 
 def cmd_bound(args) -> dict:
@@ -375,11 +374,11 @@ def cmd_analyze(args) -> dict:
     _attempt(
         report,
         "ball_mass_exponent",
-        lambda: exponents.exponent_from_ball_mass(_ball_mass(args, trajectory)[1], window=args.mass_window),
+        lambda: exponents.exponent_from_ball_mass(_ball_mass(args, trajectory), window=args.mass_window),
     )
     steps = core.increments(trajectory, 1)
     _attempt(report, "stable_index", lambda: exponents.stable_index(steps.ravel(), args.block_size).alpha_hat)
-    _attempt(report, "k_function_slope", lambda: spatial.k_function_slope(_k_function(args, trajectory)[1]))
+    _attempt(report, "k_function_slope", lambda: spatial.k_function_slope(_k_function(args, trajectory)))
     _attempt(report, "covering", lambda: {"dudley_value": _cover(args, ft_input, rho)[1].dudley_value})
     return report
 

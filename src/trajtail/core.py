@@ -15,15 +15,8 @@ from typing import BinaryIO, Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateDataError,
-    EmptyInputError,
-    InsufficientDataError,
-    TrajectoryFormatError,
-    TrajectoryParseError,
-)
-
 __all__ = [
+    "DataError",
     "Seed",
     "Trajectory",
     "SimplexWeights",
@@ -45,6 +38,15 @@ SIMPLEX_TOL = 1e-9
 _DIFF_BUDGET = 1 << 16
 # Bytes of the first block a trailing read takes from the end of a file; each next block doubles.
 _TAIL_BLOCK = 1 << 16
+
+
+class DataError(Exception):
+    """A failure caused by the input data, not by how the call was made.
+
+    Malformed files, too few samples, degenerate inputs and values outside the
+    float64 range raise this; the CLI maps it to exit code 1.  Argument-contract
+    violations raise plain ``ValueError`` instead (exit code 2).
+    """
 
 
 def _splitmix64(x: int) -> int:
@@ -212,26 +214,22 @@ class RadiusGrid:
         vals = np.asarray(values, dtype=np.float64)
         overflowed = int(np.count_nonzero(~np.isfinite(vals)))
         if overflowed:
-            raise DegenerateDataError(
-                f"{overflowed} of {vals.size} values are non-finite (overflowed float64); no quantile grid"
-            )
+            raise DataError(f"{overflowed} of {vals.size} values are non-finite (overflowed float64); no quantile grid")
         vals = vals[vals > 0]
         if vals.size == 0:
-            raise DegenerateDataError("no positive values to take quantiles of")
+            raise DataError("no positive values to take quantiles of")
         radii = np.unique(np.quantile(vals, np.asarray(levels)))
         radii = radii[radii > 0]
         if radii.size == 0:
-            raise DegenerateDataError("quantile grid collapsed to zero radii")
+            raise DataError("quantile grid collapsed to zero radii")
         return cls(radii)
 
 
 def load_trajectory(path: str | Path, has_header: bool = False, last: int | None = None) -> Trajectory:
     """Read a trajectory from CSV: one iterate per row, D numeric columns.
 
-    Raises :class:`TrajectoryFormatError` on ragged rows (naming the line),
-    :class:`TrajectoryParseError` on non-UTF-8, non-numeric or non-finite
-    cells (naming the line) and :class:`EmptyInputError` when no data rows
-    remain.
+    Raises :class:`DataError` on ragged rows, non-UTF-8, non-numeric or
+    non-finite cells (each naming the line) and when no data rows remain.
 
     With ``last``, only the file's last ``last`` data lines are read (all of
     them when it has fewer): the file is read backwards in growing blocks, so
@@ -327,25 +325,25 @@ def _parse_lines(path: Path, lines: list[str], lines_before: Callable[[], int]) 
             text.encode("utf-8")
         except UnicodeEncodeError as exc:
             byte = ord(text[exc.start]) - 0xDC00  # where surrogateescape put it
-            raise TrajectoryParseError(f"{line(index)}: byte 0x{byte:02x} is not UTF-8") from None
+            raise DataError(f"{line(index)}: byte 0x{byte:02x} is not UTF-8") from None
         cells = text.split(",")
         if cells == [""]:
-            raise TrajectoryFormatError(f"{line(index)}: blank row")
+            raise DataError(f"{line(index)}: blank row")
         if width is None:
             width = len(cells)
         elif len(cells) != width:
-            raise TrajectoryFormatError(f"{line(index)}: expected {width} columns, got {len(cells)}")
+            raise DataError(f"{line(index)}: expected {width} columns, got {len(cells)}")
         try:
             rows.append([float(c) for c in cells])
         except ValueError as exc:
-            raise TrajectoryParseError(f"{line(index)}: {exc}") from None
+            raise DataError(f"{line(index)}: {exc}") from None
     if not rows:
-        raise EmptyInputError(f"{path}: no data rows")
+        raise DataError(f"{path}: no data rows")
     points = np.asarray(rows)
     bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
     if bad.size:
         # blank rows raise above, so data row i is lines[i]
-        raise TrajectoryParseError(f"{line(int(bad[0]))}: non-finite coordinate")
+        raise DataError(f"{line(int(bad[0]))}: non-finite coordinate")
     return Trajectory(points)
 
 
@@ -362,7 +360,7 @@ def increments(trajectory: Trajectory, lag: int = 1) -> np.ndarray:
     if lag < 1:
         raise ValueError(f"lag must be a positive integer, got {lag}")
     if lag >= len(trajectory):
-        raise InsufficientDataError(f"lag {lag} must be smaller than trajectory length {len(trajectory)}")
+        raise DataError(f"lag {lag} must be smaller than trajectory length {len(trajectory)}")
     pts = trajectory.points
     with np.errstate(over="ignore"):  # steps too large for float64 are inf
         deltas = pts[lag:] - pts[:-lag]
@@ -398,7 +396,7 @@ def normalize_by_running_std(trajectory: Trajectory) -> RunningStdNormalization:
     precision however far the iterates sit from the origin.
     """
     if len(trajectory) < 2:
-        raise InsufficientDataError(f"running-std normalization needs at least 2 points, got {len(trajectory)}")
+        raise DataError(f"running-std normalization needs at least 2 points, got {len(trajectory)}")
     pts = trajectory.points
     n, dim = pts.shape
     counts = np.arange(1, n + 1, dtype=np.float64)[:, None]

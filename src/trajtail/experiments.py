@@ -109,6 +109,14 @@ def _typed(key: str, value: Any, default: Any) -> Any:
     return typed
 
 
+def _require(ok: bool, params: Mapping[str, Any], rule: str) -> None:
+    """Raise ``ValueError`` naming ``rule`` and the values of the parameters it names unless ``ok``."""
+    if not ok:
+        keys = [word for word in rule.split() if word in params]
+        got = ", ".join(f"{key}={params[key]}" for key in keys)
+        raise ValueError(f"parameters must satisfy {rule}, got {got}")
+
+
 @dataclass(frozen=True)
 class StudySpec:
     """One study configuration, resolved on construction.
@@ -141,15 +149,20 @@ class StudySpec:
         p = {**defaults, **typed}
         object.__setattr__(self, "params", p)
         if self.study == "figure1_ordering":
+            _require(p["stable_alpha"] <= 2, p, "stable_alpha <= 2")
             grid, label = ("stable", "gaussian"), "process"
         elif self.study == "appendix_c_curve":
-            # the verdict and the regressions compare neighbouring grid points
+            # the verdict and the regressions compare neighbouring grid points, in increasing order
             if p["alpha_points"] < 2:
                 raise ValueError(f"parameter 'alpha_points' must be >= 2, got {p['alpha_points']}")
+            _require(p["alpha_lo"] < p["alpha_hi"], p, "alpha_lo < alpha_hi")
             grid, label = tuple(np.geomspace(p["alpha_lo"], p["alpha_hi"], p["alpha_points"])), "bp_alpha"
         elif self.study == "gaussian_dimension":
+            _require(p["mass_lo"] < p["mass_hi"] < 1, p, "mass_lo < mass_hi < 1")
+            _require(p["level_lo"] < p["level_hi"] <= 1, p, "level_lo < level_hi <= 1")
             grid, label = p["dims"], "dim"
         else:
+            _require(max(p["stable_alphas"]) <= 2, p, "every stable_alphas value <= 2")
             grid, label = p["stable_alphas"], "stable_alpha"
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "grid_label", label)

@@ -15,8 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import RadiusGrid, Trajectory, increments
-from .errors import DegenerateDataError, InsufficientDataError
+from .core import DataError, RadiusGrid, Trajectory, increments
 
 __all__ = [
     "TailFitResult",
@@ -113,11 +112,11 @@ def fit_power_law(samples: Sequence[float], x_min: float | None = None) -> TailF
     """
     x = np.asarray(samples, dtype=np.float64).ravel()
     if x.size < 2:
-        raise InsufficientDataError(f"power-law fit needs >= 2 samples, got {x.size}")
+        raise DataError(f"power-law fit needs >= 2 samples, got {x.size}")
     if np.any(~np.isfinite(x)) or np.any(x <= 0):
         raise ValueError("samples must be positive and finite")
     if x.min() == x.max():
-        raise DegenerateDataError("all samples equal: zero log-spread")
+        raise DataError("all samples equal: zero log-spread")
     x = np.sort(x)
     notes: tuple[str, ...] = ()
     if x.size < LOW_SAMPLE_THRESHOLD:
@@ -144,7 +143,7 @@ def fit_power_law(samples: Sequence[float], x_min: float | None = None) -> TailF
         if best is None or ks < best[0]:
             best = (ks, float(xm), a_density, tail.size)
     if best is None:
-        raise DegenerateDataError("no usable cutoff: tail has zero log-spread")
+        raise DataError("no usable cutoff: tail has zero log-spread")
     ks, xm, a_density, n_tail = best
     return TailFitResult(a_density - 1.0, a_density, xm, ks, n_tail, x.size, notes)
 
@@ -157,16 +156,12 @@ def lower_tail_exponent_reciprocal(trajectory: Trajectory, x_min: float | None =
     Zero-length steps are dropped and counted in the notes.
     """
     if len(trajectory) < LOW_SAMPLE_THRESHOLD + 1:
-        raise InsufficientDataError(
-            f"need at least {LOW_SAMPLE_THRESHOLD + 1} iterates, got {len(trajectory)}"
-        )
+        raise DataError(f"need at least {LOW_SAMPLE_THRESHOLD + 1} iterates, got {len(trajectory)}")
     norms = np.linalg.norm(increments(trajectory, 1), axis=1)
     nonzero = norms[norms > 0.0]
     dropped = norms.size - nonzero.size
     if nonzero.size < LOW_SAMPLE_THRESHOLD:
-        raise InsufficientDataError(
-            f"only {nonzero.size} nonzero steps (need {LOW_SAMPLE_THRESHOLD})"
-        )
+        raise DataError(f"only {nonzero.size} nonzero steps (need {LOW_SAMPLE_THRESHOLD})")
     fit = fit_power_law(1.0 / nonzero, x_min=x_min)
     if dropped:
         fit = replace(fit, notes=fit.notes + (f"dropped {dropped} zero-length steps",))
@@ -190,7 +185,7 @@ def ball_mass_curve(
     if lag_list[0] < 1:
         raise ValueError("lags must be positive")
     if lag_list[-1] >= len(trajectory):
-        raise InsufficientDataError(f"max lag {lag_list[-1]} must be smaller than trajectory length {len(trajectory)}")
+        raise DataError(f"max lag {lag_list[-1]} must be smaller than trajectory length {len(trajectory)}")
     if mode not in ("average", "worst"):
         raise ValueError(f"mode must be 'average' or 'worst', got {mode!r}")
     r = radii.radii
@@ -226,9 +221,7 @@ def exponent_from_ball_mass(curve: BallMassCurve, window: tuple[float, float] = 
     m = curve.masses
     usable = (m >= lo) & (m <= hi) & (m > 0.0) & (m < 1.0)
     if int(usable.sum()) < 5:
-        raise InsufficientDataError(
-            f"only {int(usable.sum())} grid points with mass in [{lo}, {hi}] (need 5)"
-        )
+        raise DataError(f"only {int(usable.sum())} grid points with mass in [{lo}, {hi}] (need 5)")
     slope = np.polyfit(np.log(curve.radii.radii[usable]), np.log(m[usable]), 1)[0]
     return float(slope)
 
@@ -245,7 +238,7 @@ def stable_index(samples: Sequence[float], block_size: int = 10) -> StableIndexR
         raise ValueError(f"block_size must be >= 2, got {block_size}")
     x = np.asarray(samples, dtype=np.float64).ravel()
     if x.size < 10 * block_size:
-        raise InsufficientDataError(f"need at least {10 * block_size} samples, got {x.size}")
+        raise DataError(f"need at least {10 * block_size} samples, got {x.size}")
     n_blocks = x.size // block_size
     x = x[: n_blocks * block_size]
     y = x.reshape(n_blocks, block_size).sum(axis=1)
@@ -253,7 +246,7 @@ def stable_index(samples: Sequence[float], block_size: int = 10) -> StableIndexR
     ay = np.abs(y[y != 0.0])
     dropped = int(x.size - ax.size) + int(y.size - ay.size)
     if ax.size == 0 or ay.size == 0:
-        raise DegenerateDataError("all samples (or all block sums) are zero")
+        raise DataError("all samples (or all block sums) are zero")
     inv_alpha = (np.mean(np.log(ay)) - np.mean(np.log(ax))) / np.log(block_size)
     alpha = 2.0 if inv_alpha <= 0.5 else 1.0 / inv_alpha
     return StableIndexResult(float(alpha), (float(alpha),), block_size, dropped)

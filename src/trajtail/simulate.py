@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Seed, Trajectory
-from .errors import DegenerateDataError
+from .core import DataError, Seed, Trajectory
 
 __all__ = [
     "PROCESS_KINDS",
@@ -123,7 +122,8 @@ def beta_prime_sample(alpha: float, beta: float, rng: np.random.Generator, size=
     """Beta-prime draw(s) as a ratio of gamma variates with shapes (alpha, beta).
 
     Tiny shapes can underflow a gamma draw to zero; such draws are resampled
-    so the result is always positive and finite.
+    so the result is always positive and finite.  Raises :class:`DataError`
+    when 100 rounds of resampling leave a draw at zero.
     """
     if not (alpha > 0 and beta > 0):
         raise ValueError(f"shapes must be positive, got ({alpha}, {beta})")
@@ -137,7 +137,7 @@ def beta_prime_sample(alpha: float, beta: float, rng: np.random.Generator, size=
         g1[bad] = rng.standard_gamma(alpha, k)
         g2[bad] = rng.standard_gamma(beta, k)
     else:
-        raise RuntimeError("gamma sampling kept underflowing to zero")
+        raise DataError(f"gamma draws with shapes ({alpha}, {beta}) kept underflowing to zero")
     out = g1 / g2
     return float(out[0]) if size is None else out.reshape(size)
 
@@ -147,13 +147,13 @@ def simulate(spec: ProcessSpec) -> Trajectory:
 
     Returns ``steps + 1`` points.  Draw order per kind is fixed (documented
     in each branch), so trajectories are bit-reproducible given the spec.
-    Raises :class:`DegenerateDataError` when a point leaves the float64 range.
+    Raises :class:`DataError` when a point leaves the float64 range.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         points = _points(spec)
     bad = ~np.isfinite(points).all(axis=1)
     if bad.any():
-        raise DegenerateDataError(f"{spec.kind} trajectory leaves the float64 range at row {int(np.argmax(bad))}")
+        raise DataError(f"{spec.kind} trajectory leaves the float64 range at row {int(np.argmax(bad))}")
     return Trajectory(points)
 
 

@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RadiusGrid, Trajectory
-from .errors import InsufficientDataError
+from .core import DataError, RadiusGrid, Trajectory
 
 __all__ = [
     "KFunctionCurve",
@@ -85,14 +84,12 @@ def k_function_slope(curve: KFunctionCurve, window: tuple[float, float] = DEFAUL
     if not 0.0 < lo < hi <= 1.0:
         raise ValueError(f"window must satisfy 0 < lo < hi <= 1, got {window}")
     if curve.n < 2 or curve.diameter <= 0.0:
-        raise InsufficientDataError("K-function slope needs at least two distinct points")
+        raise DataError("K-function slope needs at least two distinct points")
     total = curve.diameter * (curve.n - 1)
     frac = curve.values / total
     usable = (frac >= lo) & (frac <= hi) & (curve.values > 0.0)
     if int(usable.sum()) < 5:
-        raise InsufficientDataError(
-            f"only {int(usable.sum())} grid points with pair fraction in [{lo}, {hi}] (need 5)"
-        )
+        raise DataError(f"only {int(usable.sum())} grid points with pair fraction in [{lo}, {hi}] (need 5)")
     slope = np.polyfit(np.log(curve.radii.radii[usable]), np.log(curve.values[usable]), 1)[0]
     return float(slope)
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trajtail
+from trajtail import experiments
 from trajtail.bounds import BoundInputs
 from trajtail.cli import _BOUND_READS, _from_flags, build_parser, main
 from trajtail.ft import SubgradientOptions
@@ -331,10 +332,57 @@ def test_analyze_fuzz_exits_with_data_error_or_json(
         json.loads(out.getvalue())
 
 
-def _run_module(*argv: str) -> subprocess.CompletedProcess:
+def _run_module(*argv: str, cwd: Path | None = None) -> subprocess.CompletedProcess:
     """Run ``python *argv`` in a fresh interpreter that imports this checkout's package."""
     env = dict(os.environ, PYTHONPATH=str(Path(trajtail.__file__).resolve().parents[1]))
-    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, cwd=cwd)
+
+
+_DATA_FILES = {
+    "ragged.csv": "1,2\n3\n",
+    "word.csv": "1,2\n3,x\n",
+    "header.csv": "a,b\n",
+    "constant.csv": "1,1\n" * 200,
+    "zero-mass.csv": "radius,mass\n0.1,0\n0.2,0\n0.6,1\n",
+    "falling-mass.csv": "radius,mass\n0.1,0.5\n0.2,0.1\n",
+}
+
+
+@pytest.mark.parametrize(
+    "argv, last_line",
+    [
+        (("gamma2", "--input", "ragged.csv"), "ragged.csv: line 2: expected 2 columns, got 1"),
+        (("gamma2", "--input", "word.csv"), "word.csv: line 2: could not convert string to float: 'x'"),
+        (("gamma2", "--input", "header.csv", "--has-header"), "header.csv: no data rows"),
+        (("tail-fit", "--input", "constant.csv"), "only 0 nonzero steps (need 50)"),
+        (("stable-index", "--input", "constant.csv"), "all samples (or all block sums) are zero"),
+        (("kfunction", "--input", "constant.csv"), "no positive values to take quantiles of"),
+        (("bound", "--form", "kernel", "--curve", "zero-mass.csv", "--rho", "0.5"),
+         "no positive masses at radii below rho"),
+        (("bound", "--form", "kernel", "--curve", "falling-mass.csv", "--rho", "0.5"),
+         "falling-mass.csv: masses must be nondecreasing in r"),
+        (("simulate", "--kind", "stable-levy-walk", "--stable-alpha", "0.01", "--steps", "1000", "--out", "t.csv"),
+         "stable_levy_walk trajectory leaves the float64 range at row"),
+        (("simulate", "--kind", "beta-prime-walk", "--bp-alpha", "1e-300", "--steps", "10", "--out", "t.csv"),
+         "gamma draws with shapes (1e-300, 3.5) kept underflowing to zero"),
+        (("study", "--name", "appendix-c-curve", "--replicates", "1", "--param", "alpha_lo=1e-300",
+          "--param", "alpha_hi=1e-299", "--param", "alpha_points=2", "--param", "steps=20",
+          "--param", "ft_iterations=2"),
+         "gamma draws with shapes (1e-300, 3.5) kept underflowing to zero"),
+    ],
+)
+def test_data_failure_ends_in_one_error_line(tmp_path, argv, last_line):
+    for name, text in _DATA_FILES.items():
+        (tmp_path / name).write_text(text)
+    out = _run_module("-m", "trajtail.cli", *argv, cwd=tmp_path)
+    assert out.returncode == 1 and out.stdout == ""
+    assert "Traceback" not in out.stderr
+    lines = out.stderr.splitlines()
+    assert lines[-1].startswith(f"error: {last_line}")
+    if "zero-mass.csv" in argv:
+        assert lines == ["WARNING trajtail.bounds: trimmed 2 zero-mass radii below rho", f"error: {last_line}"]
+    else:
+        assert len(lines) == 1
 
 
 def test_import_loads_no_scipy():
@@ -686,10 +734,23 @@ class TestStudyCommand:
             ("figure1-ordering", "rho=nan", "parameter 'rho' must be positive and finite"),
             ("exponent-comparison", "stable_alphas=1.5,inf", "parameter 'stable_alphas' must be positive and finite"),
             ("figure1-ordering", "ft_restarts=2", "unknown parameters for figure1_ordering: ['ft_restarts']"),
+            ("appendix-c-curve", "alpha_lo=1 alpha_hi=0.01", "alpha_lo < alpha_hi, got alpha_lo=1.0, alpha_hi=0.01"),
+            ("appendix-c-curve", "alpha_lo=0.5 alpha_hi=0.5", "alpha_lo < alpha_hi, got alpha_lo=0.5, alpha_hi=0.5"),
+            ("gaussian-dimension", "mass_lo=0.2 mass_hi=0.1", "mass_lo < mass_hi < 1, got mass_lo=0.2, mass_hi=0.1"),
+            ("gaussian-dimension", "mass_hi=1", "mass_lo < mass_hi < 1, got mass_lo=0.005, mass_hi=1.0"),
+            ("gaussian-dimension", "level_lo=0.5 level_hi=0.1",
+             "level_lo < level_hi <= 1, got level_lo=0.5, level_hi=0.1"),
+            ("gaussian-dimension", "level_hi=3", "level_lo < level_hi <= 1, got level_lo=0.002, level_hi=3.0"),
+            ("figure1-ordering", "stable_alpha=3", "stable_alpha <= 2, got stable_alpha=3.0"),
+            ("exponent-comparison", "stable_alphas=1.5,2.5",
+             "every stable_alphas value <= 2, got stable_alphas=(1.5, 2.5)"),
         ],
     )
-    def test_bad_param_is_argument_error_before_any_cell(self, capsys, tmp_path, name, param, message):
-        code, out, err = run_cli(capsys, "study", "--name", name, "--param", param, "--out-dir", str(tmp_path))
+    def test_bad_param_is_argument_error_before_any_cell(self, capsys, tmp_path, monkeypatch, name, param, message):
+        for study in experiments.STUDIES:
+            monkeypatch.setattr(experiments, f"_cell_{study}", lambda *args: pytest.fail("a cell ran"))
+        params = [arg for item in param.split() for arg in ("--param", item)]
+        code, out, err = run_cli(capsys, "study", "--name", name, *params, "--out-dir", str(tmp_path))
         assert code == 2
         assert err.startswith("argument error: ") and message in err
         assert "Traceback" not in err and "Warning" not in err

@@ -13,6 +13,7 @@ from scipy.spatial.distance import pdist
 
 from trajtail import core
 from trajtail.core import (
+    DataError,
     RadiusGrid,
     Seed,
     SimplexWeights,
@@ -23,13 +24,6 @@ from trajtail.core import (
     normalize_by_running_std,
     pairwise_distances,
     save_trajectory,
-)
-from trajtail.errors import (
-    DegenerateDataError,
-    EmptyInputError,
-    InsufficientDataError,
-    TrajectoryFormatError,
-    TrajectoryParseError,
 )
 from trajtail.simulate import ProcessSpec, simulate
 
@@ -64,13 +58,13 @@ class TestLoadSave:
     def test_ragged_row_names_line(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text("1,2\n3\n")
-        with pytest.raises(TrajectoryFormatError, match="line 2"):
+        with pytest.raises(DataError, match="line 2: expected 2 columns, got 1"):
             load_trajectory(path)
 
     def test_non_numeric_cell(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("1,2\n3,x\n")
-        with pytest.raises(TrajectoryParseError, match="line 2"):
+        with pytest.raises(DataError, match="line 2: could not convert string to float"):
             load_trajectory(path)
 
     @pytest.mark.parametrize(
@@ -79,13 +73,13 @@ class TestLoadSave:
     def test_non_finite_cell_names_line(self, tmp_path, text, has_header, line):
         path = tmp_path / "f.csv"
         path.write_text(text)
-        with pytest.raises(TrajectoryParseError, match=f"line {line}: non-finite"):
+        with pytest.raises(DataError, match=f"line {line}: non-finite"):
             load_trajectory(path, has_header=has_header)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "e.csv"
         path.write_text("")
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(DataError, match="no data rows"):
             load_trajectory(path)
 
     def test_header_skipped(self, tmp_path):
@@ -252,21 +246,21 @@ class TestTrailingRead:
     def test_no_data_rows(self, tmp_path, text, has_header):
         path = tmp_path / "e.csv"
         path.write_text(text)
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(DataError, match="no data rows"):
             load_trajectory(path, has_header, last=1)
 
     def test_rows_before_the_tail_are_not_read(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_bytes(b"1,x\n\xff,2\n3\n\n4,nan\n5,6\n7,8\n")
         np.testing.assert_array_equal(load_trajectory(path, last=2).points, [[5, 6], [7, 8]])
-        with pytest.raises(TrajectoryParseError, match="line 5: non-finite"):
+        with pytest.raises(DataError, match="line 5: non-finite"):
             load_trajectory(path, last=3)
 
     @pytest.mark.parametrize("last", [None, 2])
     def test_non_utf8_byte_names_line(self, tmp_path, last):
         path = tmp_path / "latin1.csv"
         path.write_bytes(b"1,2\n3,4\n5,\xff6\n")
-        with pytest.raises(TrajectoryParseError, match="line 3: byte 0xff is not UTF-8"):
+        with pytest.raises(DataError, match="line 3: byte 0xff is not UTF-8"):
             load_trajectory(path, last=last)
 
     def test_last_must_be_positive(self, tmp_path):
@@ -356,7 +350,7 @@ class TestIncrements:
 
     def test_lag_too_large(self):
         t = Trajectory(np.zeros((3, 1)))
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(DataError, match="lag 3 must be smaller than trajectory length 3"):
             increments(t, 3)
 
     def test_lag_positive(self):
@@ -432,7 +426,7 @@ class TestNormalizeByRunningStd:
             np.testing.assert_allclose(scaled * ref_sd[k0:, varying], pts[k0:, varying], rtol=1e-10, atol=0)
 
     def test_needs_two_points(self):
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(DataError, match="needs at least 2 points, got 1"):
             normalize_by_running_std(Trajectory(np.zeros((1, 2))))
 
 
@@ -465,5 +459,5 @@ class TestWeightAndGridTypes:
         assert np.all(np.diff(grid.radii) > 0)
 
     def test_quantile_grid_rejects_overflowed_values(self):
-        with pytest.raises(DegenerateDataError, match=r"1 of 3 values are non-finite \(overflowed"):
+        with pytest.raises(DataError, match=r"1 of 3 values are non-finite \(overflowed"):
             RadiusGrid.from_quantiles([1.0, np.inf, 2.0], [0.1, 0.5])

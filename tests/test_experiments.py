@@ -71,6 +71,18 @@ class TestStudySpec:
             StudySpec("appendix_c_curve", params={"alpha_points": 1})
         assert len(StudySpec("appendix_c_curve", params={"alpha_points": 2}).grid) == 2
 
+    @pytest.mark.parametrize(
+        "study, params",
+        [
+            ("appendix_c_curve", {"alpha_lo": 0.5, "alpha_hi": 0.51}),
+            ("gaussian_dimension", {"mass_lo": 0.5, "mass_hi": 0.99, "level_lo": 0.5, "level_hi": 1.0}),
+            ("figure1_ordering", {"stable_alpha": 2.0}),
+            ("exponent_comparison", {"stable_alphas": (1.0, 2.0)}),
+        ],
+    )
+    def test_edge_of_each_ordered_range_accepted(self, study, params):
+        assert StudySpec(study, params=params).params.items() >= params.items()
+
     def test_grid_resolved(self):
         grids = {study: (StudySpec(study).grid, StudySpec(study).grid_label) for study in experiments.STUDIES}
         assert grids["figure1_ordering"] == (("stable", "gaussian"), "process")

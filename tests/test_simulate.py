@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from trajtail.core import Seed, increments
-from trajtail.errors import DegenerateDataError
+from trajtail.core import DataError, Seed, increments
 from trajtail.simulate import (
     ProcessSpec,
     beta_prime_sample,
@@ -97,7 +96,7 @@ class TestSpecValidation:
     def test_leaving_float64_is_data_error_without_warnings(self, spec):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DegenerateDataError, match=f"^{spec.kind} trajectory leaves the float64 range at row"):
+            with pytest.raises(DataError, match=f"^{spec.kind} trajectory leaves the float64 range at row"):
                 simulate(spec)
 
 
@@ -143,6 +142,10 @@ class TestBetaPrimeSampling:
     def test_unit_shapes_median(self):
         x = beta_prime_sample(1.0, 1.0, Seed(7).generator(), 100_000)
         assert 0.97 <= np.median(x) <= 1.03
+
+    def test_underflowing_shape_is_a_data_error(self):
+        with pytest.raises(DataError, match=r"^gamma draws with shapes \(1e-300, 3.5\) kept underflowing to zero$"):
+            beta_prime_sample(1e-300, 3.5, Seed(0).generator(), 4)
 
     def test_cdf_at_analytic_median(self):
         from scipy.optimize import brentq

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from trajtail.core import RadiusGrid, Seed, Trajectory
-from trajtail.errors import InsufficientDataError
+from trajtail.core import DataError, RadiusGrid, Seed, Trajectory
 from trajtail.spatial import (
     CoveringProfile,
     covering_numbers,
@@ -57,7 +56,7 @@ class TestKFunction:
 
     def test_slope_needs_points_in_window(self):
         t = Trajectory(np.array([[0.0, 0.0], [1.0, 0.0]]))
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(DataError, match=r"only 0 grid points with pair fraction in"):
             k_function_slope(k_function(t, RadiusGrid([0.5, 2.0])))
 
 
