@@ -218,9 +218,10 @@ class _Workspace:
     """Anchor integrals and their smoothed-max gradient for one Gram, in one dtype.
 
     Holds three ``(n, w)`` work buffers that every call overwrites, so an
-    iteration allocates nothing of that size.  ``integrals`` leaves the
-    sorted masses, cumulative masses and ``sqrt(-log c)`` in them for
-    ``gradient`` to reuse at the same weights.
+    iteration allocates only length-``n`` vectors and, in float32, one
+    float64 chunk of ``core._DIFF_BUDGET`` elements for the gradient's
+    scatter.  ``integrals`` leaves the sorted masses, cumulative masses and
+    ``sqrt(-log c)`` in them for ``gradient`` to reuse at the same weights.
     """
 
     def __init__(self, gram: TruncatedGram, dtype: str = "float64"):
@@ -259,7 +260,16 @@ class _Workspace:
         d = c.sum(axis=1, dtype=np.float64)
         curvature = scale * scale * float(lam @ (d - 2.0 * a * b + a * a * (p @ p)))
         np.multiply(r, (scale * lam).astype(r.dtype)[:, None], out=r)
-        g = np.bincount(self.idx, weights=r.reshape(-1), minlength=p.size)
+        weights = r.reshape(-1)
+        if weights.dtype == np.float64:
+            g = np.bincount(self.idx, weights=weights, minlength=p.size)
+        else:
+            # bincount would cast all n*w weights to one float64 copy.  np.add.at
+            # adds in the same index order, so g is bitwise the same.
+            g = np.zeros(p.size)
+            for start in range(0, weights.size, _DIFF_BUDGET):
+                chunk = slice(start, start + _DIFF_BUDGET)
+                np.add.at(g, self.idx[chunk], weights[chunk].astype(np.float64))
         return p * (g - float(p @ g)), curvature
 
 

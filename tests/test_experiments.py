@@ -161,12 +161,17 @@ class TestRunStudy:
         params = {"steps": 60, "alpha_points": 3, "normalization": "running"}
         spec = StudySpec("appendix_c_curve", replicates=1, seed=9, params=params)
         res = run_study(spec)
+        resolved = res.spec.params
+        options = SubgradientOptions(iterations=resolved["ft_iterations"], dtype=resolved["ft_dtype"])
+        rho = resolved["rho"]
         for gi, alpha in enumerate(res.spec.grid):
             seed = Seed(9).spawn(gi, 0)
-            walk = simulate(ProcessSpec("beta_prime_walk", 2, 60, seed.spawn(0).base, bp_alpha=alpha, bp_beta=3.5))
-            options = SubgradientOptions(iterations=300, dtype="float64")
-            running = estimate_gamma2(normalize_by_running_std(walk).trajectory, 0.25, options=options).value
-            full = estimate_gamma2(experiments._normalize(walk, "full"), 0.25, options=options).value
+            process = ProcessSpec(
+                "beta_prime_walk", 2, resolved["steps"], seed.spawn(0).base, bp_alpha=alpha, bp_beta=resolved["beta"]
+            )
+            walk = simulate(process)
+            running = estimate_gamma2(normalize_by_running_std(walk).trajectory, rho, options=options).value
+            full = estimate_gamma2(experiments._normalize(walk, "full"), rho, options=options).value
             assert res.raw["gamma2"][gi, 0] == running != full
 
 

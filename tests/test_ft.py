@@ -5,8 +5,9 @@ import pytest
 from scipy.spatial.distance import pdist
 
 from trajtail import experiments
-from trajtail.core import Seed, SimplexWeights, Trajectory
+from trajtail.core import _DIFF_BUDGET, Seed, SimplexWeights, Trajectory
 from trajtail.ft import (
+    _MU_END,
     MASS_FLOOR,
     SubgradientOptions,
     TruncatedGram,
@@ -102,23 +103,20 @@ class TestTruncatedGram:
         np.testing.assert_array_equal(g.entries, before)
 
     def test_figure1_cell_estimate_peak_memory(self):
-        """The stable-arm figure-1 cell (w = 699 of n = 1,001) estimates within 32 MB.
+        """The stable-arm figure-1 cell (w = 699 of n = 1,001) estimates within 25 MB.
 
         A Gram that also held the (n, n) entries and the (n, w + 1) sorted
-        entries peaked at 47.3 MB on this cell.
+        entries peaked at 47.3 MB on this cell, and a gradient that scattered
+        through one float64 copy of the (n, w) weights at 28.1 MB.
         """
-        seed = Seed(777).spawn(0, 3)
-        params = experiments.StudySpec("figure1_ordering").params
-        process = ProcessSpec("stable_levy_walk", 2, 1000, seed.spawn(0).base, stable_alpha=params["stable_alpha"])
-        walk = experiments._normalize(simulate(process), "full")
-        options = SubgradientOptions(iterations=25, dtype="float32", seed=seed.spawn(1).base)
+        walk, options = _figure1_stable_cell()
         tracemalloc.start()
         try:
             estimate_gamma2(walk, rho=1.0, options=options)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 32e6, f"estimate peaked at {peak} bytes"
+        assert peak <= 25e6, f"estimate peaked at {peak} bytes"
 
 
 class TestFtObjective:
@@ -345,6 +343,15 @@ class TestEstimateGamma2:
             resolve_rho(-1.0)
 
 
+def _figure1_stable_cell():
+    """The normalized walk and descent options of the figure-1 stable-arm cell (0, 3) at seed 777."""
+    seed = Seed(777).spawn(0, 3)
+    params = experiments.StudySpec("figure1_ordering").params
+    process = ProcessSpec("stable_levy_walk", 2, 1000, seed.spawn(0).base, stable_alpha=params["stable_alpha"])
+    walk = experiments._normalize(simulate(process), "full")
+    return walk, SubgradientOptions(iterations=25, dtype="float32", seed=seed.spawn(1).base)
+
+
 def _walk_and_rho():
     """A 201-point Gaussian walk in 3-d with rho at the 0.35 quantile of its pairwise distances."""
     pts = simulate(ProcessSpec("gaussian_walk", 3, 200, 7)).points
@@ -381,6 +388,52 @@ class TestSmoothedMaxStep:
             worst_curv = max(worst_curv, abs(curvature - expected_curvature) / expected_curvature)
         assert worst_grad <= 1e-6, worst_grad
         assert worst_curv <= 1e-6, worst_curv
+
+    @staticmethod
+    def _scatter_grams(rng):
+        """Grams whose ``n * w`` is zero, below one chunk, an exact multiple of it and a non-multiple past it."""
+        yield TruncatedGram.from_points(np.full((30, 2), 0.4), 0.5)
+        yield TruncatedGram.from_points(random_points(rng, 40), 0.3)
+        # four distinct points, 128 copies each: every row's plateau is its farthest point's copies
+        yield TruncatedGram.from_points(np.repeat(random_points(rng, 4), 128, axis=0), 5.0)
+        yield TruncatedGram.from_points(random_points(rng, 600), 5.0)
+
+    def test_gradient_scatter_matches_bincount_bitwise(self, rng):
+        """The gradient's scatter equals ``np.bincount`` over the flattened weights, bit for bit.
+
+        ``gradient`` leaves its scaled ``(n, w)`` weights in the workspace's
+        ``r`` buffer, so the reference scatters those with ``np.bincount``.
+        """
+        sizes = []
+        for gram in self._scatter_grams(rng):
+            sizes.append(gram.order.size)
+            z = 0.5 * rng.standard_normal(gram.n)
+            p = _softmax(z)
+            for dtype in ("float64", "float32"):
+                work = _Workspace(gram, dtype)
+                f = work.integrals(p)
+                # the schedule's last mu: softmax(f / mu) spans many binades, so summation order shows
+                gz, _ = work.gradient(p, f, _MU_END)
+                g = np.bincount(gram.order.reshape(-1), weights=work.r.reshape(-1), minlength=gram.n)
+                np.testing.assert_array_equal(gz, p * (g - float(p @ g)), err_msg=f"{dtype}, n*w = {sizes[-1]}")
+        chunks = [size / _DIFF_BUDGET for size in sizes]
+        assert chunks[0] == 0 and 0 < chunks[1] < 1 and chunks[2] == 3 and chunks[3] > 5 and chunks[3] % 1 > 0
+
+    def test_float32_gradient_allocates_at_most_a_chunk(self):
+        """One float32 gradient on the figure-1 stable-arm cell peaks within 1 MB (5.64 MB with a float64 copy)."""
+        walk, options = _figure1_stable_cell()
+        gram = TruncatedGram.from_points(walk.points, 1.0)
+        work = _Workspace(gram, options.dtype)
+        p = _softmax(np.zeros(gram.n))
+        f = work.integrals(p)
+        tracemalloc.start()
+        try:
+            work.gradient(p, f, 0.05)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert gram.order.shape == (1001, 699)
+        assert peak <= 1e6, f"gradient peaked at {peak} bytes"
 
     def test_default_estimate_invariant_on_a_walk(self):
         pts, rho = _walk_and_rho()
