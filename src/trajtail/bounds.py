@@ -123,8 +123,8 @@ def kernel_functional(curve: BallMassCurve, rho: float, dim: int) -> float:
     Trapezoidal quadrature of sqrt((dim + 2) log 3 - log mass(r)) over
     [0, rho] divided by rho, with the mass curve extended by its first/last
     values to the interval ends.  Zero-mass radii are trimmed (a logged
-    warning reports them); the sup over anchors is whatever the curve's
-    construction mode provides.
+    warning reports them).  The curve is ``ball_mass_curve``'s pooled lag
+    average: an average over start points, not a sup over anchors.
     """
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")

@@ -175,8 +175,8 @@ def cmd_simulate(args) -> dict:
 
 def cmd_gamma2(args) -> dict:
     options = _from_flags(ft.SubgradientOptions, args, dtype=args.ft_dtype)
-    trajectory = core.load_trajectory(args.input, args.has_header)
     rho = ft.resolve_rho(args.rho, args.loss_bound, args.lipschitz)
+    trajectory = core.load_trajectory(args.input, args.has_header)
     est = ft.estimate_gamma2(trajectory, rho, options=options)
     return {
         "command": "gamma2",
@@ -186,7 +186,8 @@ def cmd_gamma2(args) -> dict:
         "n": len(trajectory),
         "rho": rho,
         "seed": args.seed,
-        "config": {"rho": rho},
+        # a rho derived from --loss-bound/--lipschitz stays unrecorded: a config may not give all three
+        "config": {"rho": rho} if args.loss_bound is None else {},
     }
 
 
@@ -229,11 +230,11 @@ def _attempt(report: dict, key: str, fn) -> None:
         report[f"{key}_error"] = str(exc)
 
 
-def _ball_mass(args, trajectory, lags=(1,), mode="average"):
+def _ball_mass(args, trajectory, lags=(1,)):
     """The ball-mass curve on a grid at quantiles of the step norms at lag ``min(lags)``."""
     norms = np.linalg.norm(core.increments(trajectory, min(lags)), axis=1)
     grid = _radius_grid(args, norms, args.level_lo, args.level_hi)
-    return exponents.ball_mass_curve(trajectory, lags, grid, mode=mode)
+    return exponents.ball_mass_curve(trajectory, lags, grid)
 
 
 def _k_function(args, trajectory):
@@ -250,8 +251,8 @@ def _cover(args, trajectory, rho: float):
 
 def cmd_ballmass(args) -> dict:
     trajectory = core.load_trajectory(args.input, args.has_header)
-    curve = _ball_mass(args, trajectory, args.lags, args.mode)
-    report: dict = {"command": "ballmass", "lags": args.lags, "mode": args.mode, "n_radii": len(curve.radii)}
+    curve = _ball_mass(args, trajectory, args.lags)
+    report: dict = {"command": "ballmass", "lags": args.lags, "n_radii": len(curve.radii)}
     _attempt(report, "exponent", lambda: exponents.exponent_from_ball_mass(curve, window=args.window))
     _write_curve(args, "ballmass", curve.radii.radii, curve.masses, "radius,mass")
     return report
@@ -280,7 +281,11 @@ def cmd_cover(args) -> dict:
 
 
 def _load_mass_curve(path: str) -> exponents.BallMassCurve:
-    """The curve in a ``radius,mass`` CSV; a file that holds no valid curve is a data error."""
+    """The curve in a CSV under the ``radius,mass`` header ``ballmass`` writes; any other file is a data error."""
+    with open(path, encoding="utf-8", errors="replace", newline="") as handle:
+        header = handle.readline().rstrip("\r\n")
+    if header != "radius,mass":
+        raise DataError(f"{path}: expected the header line 'radius,mass', got {header!r}")
     rows = core.load_trajectory(path, has_header=True).points
     if rows.shape[1] != 2:
         raise DataError(f"{path}: expected 2 columns (radius,mass), got {rows.shape[1]}")
@@ -471,7 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("ballmass", help="empirical kernel ball-mass curve")
     sub.add_argument("--lags", type=_csv_positive_ints, default=(1,))
-    sub.add_argument("--mode", choices=("average", "worst"), default="average")
     sub.add_argument("--window", type=_mass_window, default=exponents.DEFAULT_MASS_WINDOW)
     _add_radii_flags(sub)
     _common_flags(sub, needs_input=True)

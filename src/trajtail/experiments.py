@@ -148,6 +148,9 @@ class StudySpec:
         typed = {key: _typed(key, value, defaults[key]) for key, value in self.params.items()}
         p = {**defaults, **typed}
         object.__setattr__(self, "params", p)
+        if self.study in ("figure1_ordering", "appendix_c_curve"):
+            _require(p["normalization"] in ("full", "running"), p, "normalization in {full, running}")
+            _require(p["ft_dtype"] in ("float64", "float32"), p, "ft_dtype in {float64, float32}")
         if self.study == "figure1_ordering":
             _require(p["stable_alpha"] <= 2, p, "stable_alpha <= 2")
             grid, label = ("stable", "gaussian"), "process"
@@ -163,6 +166,7 @@ class StudySpec:
             grid, label = p["dims"], "dim"
         else:
             _require(max(p["stable_alphas"]) <= 2, p, "every stable_alphas value <= 2")
+            _require(p["block_size"] >= 2, p, "block_size >= 2")
             grid, label = p["stable_alphas"], "stable_alpha"
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "grid_label", label)
@@ -237,12 +241,10 @@ def _normalize(trajectory, mode: str):
     normalization.  Full is the default: it removes the scale difference
     between processes while preserving the clustering structure the
     functional measures, which the prefix variant distorts for very heavy
-    tails (see the monotonicity study).
+    tails (see the monotonicity study).  ``StudySpec`` admits no other mode.
     """
     if mode == "running":
         return normalize_by_running_std(trajectory).trajectory
-    if mode != "full":
-        raise ValueError(f"normalization must be 'full' or 'running', got {mode!r}")
     sd = trajectory.points.std(axis=0)
     return Trajectory(trajectory.points / np.where(sd > 0, sd, 1.0))
 

@@ -31,7 +31,6 @@ __all__ = [
 
 LOW_SAMPLE_THRESHOLD = 50
 DEFAULT_MASS_WINDOW = (0.01, 0.2)
-MAX_ANCHORS = 64
 _XMIN_GRID_SIZE = 100
 
 
@@ -125,6 +124,9 @@ def fit_power_law(samples: Sequence[float], x_min: float | None = None) -> TailF
     if x_min is not None:
         if not x_min > 0:
             raise ValueError(f"x_min must be positive, got {x_min}")
+        n_above = int(np.count_nonzero(x >= x_min))
+        if n_above < 2:
+            raise DataError(f"x_min {x_min} leaves {n_above} of {x.size} samples at or above it (need >= 2)")
         candidates = np.array([float(x_min)])
     else:
         levels = np.linspace(0.0, 0.99, _XMIN_GRID_SIZE)
@@ -132,9 +134,7 @@ def fit_power_law(samples: Sequence[float], x_min: float | None = None) -> TailF
 
     best = None
     for xm in candidates:
-        tail = x[x >= xm]
-        if tail.size < 2:
-            continue
+        tail = x[x >= xm]  # >= 2 samples: the forced cutoff is checked and a grid level is at most 0.99
         log_spread = float(np.sum(np.log(tail / xm)))
         if log_spread <= 0.0:
             continue
@@ -168,58 +168,34 @@ def lower_tail_exponent_reciprocal(trajectory: Trajectory, x_min: float | None =
     return fit
 
 
-def ball_mass_curve(
-    trajectory: Trajectory, lags: Iterable[int], radii: RadiusGrid, mode: str = "average"
-) -> BallMassCurve:
+def ball_mass_curve(trajectory: Trajectory, lags: Iterable[int], radii: RadiusGrid) -> BallMassCurve:
     """Empirical masses of balls around trajectory points under the step kernel.
 
-    ``average`` pools all lag-k steps: the mass at radius r is the fraction of
-    steps no longer than r, averaged over lags.  ``worst`` evaluates per-anchor
-    masses on a deterministic subsample of at most ``MAX_ANCHORS`` start points
-    and takes the pointwise minimum (a conservative stand-in for the least
-    favorable anchor).
+    All lag-k steps are pooled: the mass at radius r is the fraction of steps
+    no longer than r, averaged over lags.
     """
     lag_list = sorted(set(int(k) for k in lags))
     if not lag_list:
         raise ValueError("lag set must be nonempty")
-    if lag_list[0] < 1:
-        raise ValueError("lags must be positive")
-    if lag_list[-1] >= len(trajectory):
-        raise DataError(f"max lag {lag_list[-1]} must be smaller than trajectory length {len(trajectory)}")
-    if mode not in ("average", "worst"):
-        raise ValueError(f"mode must be 'average' or 'worst', got {mode!r}")
     r = radii.radii
-    if mode == "average":
-        acc = np.zeros(r.size)
-        for k in lag_list:
-            norms = np.sort(np.linalg.norm(increments(trajectory, k), axis=1))
-            acc += np.searchsorted(norms, r, side="right") / norms.size
-        masses = acc / len(lag_list)
-    else:
-        pts = trajectory.points
-        last_start = len(trajectory) - 1 - lag_list[-1]
-        anchors = np.unique(np.linspace(0, last_start, min(MAX_ANCHORS, last_start + 1)).astype(int))
-        masses = np.ones(r.size)
-        for a in anchors:
-            hits = np.zeros(r.size)
-            for k in lag_list:
-                norm = float(np.linalg.norm(pts[a + k] - pts[a]))
-                hits += norm <= r
-            masses = np.minimum(masses, hits / len(lag_list))
-    return BallMassCurve(radii, masses)
+    acc = np.zeros(r.size)
+    for k in lag_list:
+        norms = np.sort(np.linalg.norm(increments(trajectory, k), axis=1))
+        acc += np.searchsorted(norms, r, side="right") / norms.size
+    return BallMassCurve(radii, acc / len(lag_list))
 
 
 def exponent_from_ball_mass(curve: BallMassCurve, window: tuple[float, float] = DEFAULT_MASS_WINDOW) -> float:
     """Least-squares slope of log mass against log radius inside the window.
 
-    Only radii whose masses lie in ``window`` (and strictly inside (0, 1))
-    participate; at least 5 such grid points are required.
+    Only radii whose masses lie in ``window`` participate; at least 5 such
+    grid points are required.
     """
     lo, hi = window
     if not 0.0 < lo < hi < 1.0:
         raise ValueError(f"window must satisfy 0 < lo < hi < 1, got {window}")
     m = curve.masses
-    usable = (m >= lo) & (m <= hi) & (m > 0.0) & (m < 1.0)
+    usable = (m >= lo) & (m <= hi)
     if int(usable.sum()) < 5:
         raise DataError(f"only {int(usable.sum())} grid points with mass in [{lo}, {hi}] (need 5)")
     slope = np.polyfit(np.log(curve.radii.radii[usable]), np.log(m[usable]), 1)[0]

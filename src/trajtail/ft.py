@@ -61,12 +61,16 @@ _BATCH_ROWS = 400_000
 
 
 def resolve_rho(rho: float | None, loss_bound: float | None = None, lipschitz: float | None = None) -> float:
-    """Truncation radius: explicit value, else loss_bound/lipschitz, else 1."""
+    """Truncation radius: explicit value, else loss_bound/lipschitz (given together, not with rho), else 1."""
+    if (loss_bound is None) != (lipschitz is None):
+        raise ValueError("loss_bound and lipschitz must be given together")
+    if rho is not None and loss_bound is not None:
+        raise ValueError("rho and loss_bound/lipschitz are exclusive")
     if rho is not None:
         if not rho > 0:
             raise ValueError(f"rho must be positive, got {rho}")
         return float(rho)
-    if loss_bound is not None and lipschitz is not None:
+    if loss_bound is not None:
         if not (loss_bound > 0 and lipschitz > 0):
             raise ValueError("loss_bound and lipschitz must be positive")
         return float(loss_bound) / float(lipschitz)

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -154,6 +155,11 @@ class TestExitCodes:
              "curvature must be finite"),
             (("simulate", "--kind", "gaussian-walk", "--sigma", "1,2", "--dim", "3", "--out", "t.csv"),
              "sigma needs 1 or dim = 3 values, got 2"),
+            (("gamma2", "--input", "nope.csv", "--loss-bound", "2"), "loss_bound and lipschitz must be given together"),
+            (("gamma2", "--input", "nope.csv", "--lipschitz", "4"), "loss_bound and lipschitz must be given together"),
+            (("gamma2", "--input", "nope.csv", "--rho", "0.3", "--loss-bound", "2", "--lipschitz", "4"),
+             "rho and loss_bound/lipschitz are exclusive"),
+            (("ballmass", "--input", "nope.csv", "--mode", "worst"), "unrecognized arguments: --mode worst"),
         ],
     )
     def test_count_and_range_flags_rejected_before_any_work(self, capsys, tmp_path, monkeypatch, argv, message):
@@ -233,7 +239,7 @@ class TestExitCodes:
         path.write_text("0,0\n1,1\n2,3\n4,4\n")
         code, _, err = run_cli(capsys, "ballmass", "--input", str(path), "--lags", "1,5")
         assert code == 1
-        assert "max lag 5" in err and "argument error" not in err
+        assert "lag 5 must be smaller than trajectory length 4" in err and "argument error" not in err
 
     def test_normalize_one_row_is_data_error(self, capsys, tmp_path):
         path = tmp_path / "one.csv"
@@ -244,7 +250,11 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "text, message",
-        [("radius,mass\n0.1,0.5\n0.2,abc\n", "line 3"), ("radius,mass\n0.1,0.5\n0.2,0.4\n", "nondecreasing")],
+        [
+            ("radius,mass\n0.1,0.5\n0.2,abc\n", "line 3"),
+            ("radius,mass\n0.1,0.5\n0.2,0.4\n", "nondecreasing"),
+            ("0.1,0.5\n0.2,0.6\n0.3,1\n", "expected the header line 'radius,mass', got '0.1,0.5'"),
+        ],
     )
     def test_invalid_mass_curve_is_data_error(self, capsys, tmp_path, text, message):
         curve = tmp_path / "curve.csv"
@@ -385,6 +395,25 @@ def test_data_failure_ends_in_one_error_line(tmp_path, argv, last_line):
         assert len(lines) == 1
 
 
+def _help_text(capsys, *argv) -> str:
+    code, out, err = run_cli(capsys, *argv, "--help")
+    assert code == 0, err
+    return out
+
+
+def test_every_help_flag_is_in_readme(capsys):
+    """Each flag a subcommand's ``--help`` lists is documented in README.md."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    subcommands = re.search(r"\{([\w,-]+)\}", _help_text(capsys)).group(1).split(",")
+    missing = [
+        f"{sub} {flag}"
+        for sub in subcommands
+        for flag in sorted(set(re.findall(r"(?<![\w-])--\w[\w-]*", _help_text(capsys, sub))) - {"--help"})
+        if not re.search(rf"{re.escape(flag)}(?![\w-])", readme)
+    ]
+    assert "ballmass" in subcommands and missing == []
+
+
 def test_import_loads_no_scipy():
     """Only the bound calculators use scipy (``scipy.special``, on first use): importing the CLI loads none of it."""
     probe = "import sys, trajtail.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
@@ -431,6 +460,13 @@ class TestConfigFile:
         )
         assert code == 0
         assert parse(out)["rho"] == 0.125
+
+    def test_recorded_mode_line_rejected(self, capsys, walk_csv, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"input = {walk_csv}\nmode = average\n")
+        code, out, err = run_cli(capsys, "ballmass", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --mode=average" in err
 
     def test_unknown_key_rejected(self, capsys, walk_csv, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -490,7 +526,7 @@ _ROUND_TRIP = {
     "gamma2": ("gamma2", "--input", "{walk}", "--loss-bound", "1", "--lipschitz", "4", "--seed", "7", *_FT_SMALL),
     "tail-fit": ("tail-fit", "--input", "{walk}"),
     "stable-index": ("stable-index", "--input", "{walk}", "--block-size", "5", "--layer-sizes", "1,1"),
-    "ballmass": ("ballmass", "--input", "{walk}", "--lags", "1,2", "--mode", "worst"),
+    "ballmass": ("ballmass", "--input", "{walk}", "--lags", "1,2"),
     "ballmass-radii-num": ("ballmass", "--input", "{walk}", "--radii-num", "16"),
     "kfunction": ("kfunction", "--input", "{walk}", "--level-lo", "0.01", "--window", "0.02,0.2"),
     "cover": ("cover", "--input", "{walk}", "--rho", "0.5", "--radii-num", "12"),
@@ -744,6 +780,15 @@ class TestStudyCommand:
             ("figure1-ordering", "stable_alpha=3", "stable_alpha <= 2, got stable_alpha=3.0"),
             ("exponent-comparison", "stable_alphas=1.5,2.5",
              "every stable_alphas value <= 2, got stable_alphas=(1.5, 2.5)"),
+            *[
+                (name, param, message)
+                for name in ("figure1-ordering", "appendix-c-curve")
+                for param, message in (
+                    ("normalization=fulll", "normalization in {full, running}, got normalization=fulll"),
+                    ("ft_dtype=float16", "ft_dtype in {float64, float32}, got ft_dtype=float16"),
+                )
+            ],
+            ("exponent-comparison", "block_size=1", "block_size >= 2, got block_size=1"),
         ],
     )
     def test_bad_param_is_argument_error_before_any_cell(self, capsys, tmp_path, monkeypatch, name, param, message):

@@ -4,7 +4,6 @@ from scipy import stats
 
 from trajtail.core import DataError, RadiusGrid, Seed, Trajectory, increments
 from trajtail.exponents import (
-    MAX_ANCHORS,
     ball_mass_curve,
     exponent_from_ball_mass,
     fit_power_law,
@@ -40,6 +39,11 @@ class TestFitPowerLaw:
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             fit_power_law([1.0, -2.0, 3.0])
+
+    @pytest.mark.parametrize("x_min, left", [(10.0, 0), (3.0, 1)])
+    def test_forced_cutoff_leaving_under_two_samples(self, x_min, left):
+        with pytest.raises(DataError, match=f"x_min {x_min} leaves {left} of 3 samples at or above it"):
+            fit_power_law([1.0, 2.0, 3.0], x_min=x_min)
 
     def test_too_few_samples(self):
         with pytest.raises(DataError, match="power-law fit needs >= 2 samples, got 1"):
@@ -107,8 +111,12 @@ class TestBallMassCurve:
         with pytest.raises(ValueError):
             ball_mass_curve(Trajectory(np.zeros((5, 1))), (), RadiusGrid([1.0]))
 
+    def test_lag_below_one_rejected(self):
+        with pytest.raises(ValueError, match="lag must be a positive integer, got 0"):
+            ball_mass_curve(Trajectory(np.zeros((5, 1))), (0, 1), RadiusGrid([1.0]))
+
     def test_lag_exceeding_length_rejected(self):
-        with pytest.raises(DataError, match="max lag 5 must be smaller than trajectory length 5"):
+        with pytest.raises(DataError, match="^lag 5 must be smaller than trajectory length 5"):
             ball_mass_curve(Trajectory(np.zeros((5, 1))), (5,), RadiusGrid([1.0]))
 
     def test_masses_nondecreasing_and_rigid_motion_invariant(self):
@@ -120,18 +128,6 @@ class TestBallMassCurve:
         rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
         moved = Trajectory(walk.points @ rot.T + np.array([5.0, -3.0]))
         np.testing.assert_allclose(ball_mass_curve(moved, (1, 2), grid).masses, base.masses, atol=1e-12)
-
-    def test_worst_mode_below_average_over_all_anchors(self):
-        # lags up to 3 leave MAX_ANCHORS start points, so every start is an anchor
-        walk = simulate(ProcessSpec("gaussian_walk", dim=2, steps=MAX_ANCHORS + 2, seed=6))
-        grid = RadiusGrid(np.geomspace(0.1, 3.0, 10))
-        avg = ball_mass_curve(walk, (1, 2, 3), grid)
-        worst = ball_mass_curve(walk, (1, 2, 3), grid, mode="worst")
-        assert np.all(np.diff(worst.masses) >= 0)
-        # with every anchor included, the least favorable anchor sits below
-        # the anchor average at each radius
-        per_anchor_avg = ball_mass_curve(walk, (1, 2, 3), grid).masses
-        assert np.all(worst.masses <= per_anchor_avg + 1e-9)
 
 
 class TestExponentFromBallMass:

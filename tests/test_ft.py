@@ -338,9 +338,14 @@ class TestEstimateGamma2:
     def test_rho_resolution(self):
         assert resolve_rho(None) == 1.0
         assert resolve_rho(None, loss_bound=2.0, lipschitz=8.0) == 0.25
-        assert resolve_rho(0.3, loss_bound=2.0, lipschitz=8.0) == 0.3
+        assert resolve_rho(0.3) == 0.3
         with pytest.raises(ValueError):
             resolve_rho(-1.0)
+        with pytest.raises(ValueError, match="rho and loss_bound/lipschitz are exclusive"):
+            resolve_rho(0.3, loss_bound=2.0, lipschitz=8.0)
+        for given in ({"loss_bound": 2.0}, {"lipschitz": 8.0}):
+            with pytest.raises(ValueError, match="loss_bound and lipschitz must be given together"):
+                resolve_rho(None, **given)
 
 
 def _figure1_stable_cell():
