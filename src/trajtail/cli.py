@@ -73,41 +73,23 @@ def _mass_window(text: str) -> tuple[float, float]:
     return _float_pair(text, hi_below_one=True)
 
 
-def _positive_float(text: str) -> float:
-    """A finite number above zero."""
-    value = float(text)
-    if not 0.0 < value < np.inf:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
-    return value
+def _bounded(name: str, convert, ok, what: str):
+    """An argparse type, named for argparse's ``invalid <name> value``: ``convert(text)``, rejected unless ``ok``."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+
+    parse.__name__ = name
+    return parse
 
 
-def _level(text: str) -> float:
-    """A quantile level in (0, 1]."""
-    value = float(text)
-    if not 0.0 < value <= 1.0:
-        raise argparse.ArgumentTypeError(f"expected a level in (0, 1], got {text!r}")
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
-
-
-def _block_size(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 2, got {text!r}")
-    return value
+_positive_float = _bounded("_positive_float", float, lambda v: 0.0 < v < np.inf, "a positive number")
+_level = _bounded("_level", float, lambda v: 0.0 < v <= 1.0, "a level in (0, 1]")
+_nonnegative_int = _bounded("_nonnegative_int", int, lambda v: v >= 0, "a nonnegative integer")
+_positive_int = _bounded("_positive_int", int, lambda v: v >= 1, "a positive integer")
+_block_size = _bounded("_block_size", int, lambda v: v >= 2, "an integer >= 2")
 
 
 def _csv_positive_ints(text: str) -> tuple[int, ...]:

@@ -217,9 +217,15 @@ def _curve_stats(raw: np.ndarray) -> CurveStats:
     return CurveStats(mean, mean - half, mean + half)
 
 
+def _ranks(x: np.ndarray) -> np.ndarray:
+    """Ranks from 0, each group of tied values given the mean of its positions."""
+    _, group, counts = np.unique(x, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts + 1) / 2.0)[group]
+
+
 def _spearman(x: np.ndarray, y: np.ndarray) -> float:
-    rx = np.argsort(np.argsort(x)).astype(np.float64)
-    ry = np.argsort(np.argsort(y)).astype(np.float64)
+    """Rank correlation with average ranks for ties; 0.0 when either side is constant."""
+    rx, ry = _ranks(x), _ranks(y)
     rx -= rx.mean()
     ry -= ry.mean()
     denom = np.sqrt((rx**2).sum() * (ry**2).sum())

@@ -46,7 +46,8 @@ __all__ = [
     "resolve_rho",
 ]
 
-# Cumulative masses are clipped into [MASS_FLOOR, 1] before taking logs.
+# Cumulative masses are clipped into [MASS_FLOOR, 1] before taking logs, or in
+# float32, where 1e-300 rounds to zero, into [its smallest normal number, 1].
 MASS_FLOOR = 1e-300
 # Smoothing of the max over anchors falls geometrically from start to end.  The
 # high start matters: over 30 appendix-C cells (300 iterations) a start of 0.02
@@ -211,7 +212,7 @@ def _anchor_integrals(seg, idx, p, q, c, r) -> np.ndarray:
     # mode="clip" writes straight into ``out`` (the default mode buffers it); ``idx`` is in range.
     np.take(p.astype(q.dtype, copy=False), idx, out=q.reshape(-1), mode="clip")
     np.cumsum(q, axis=1, out=c)
-    np.clip(c, MASS_FLOOR, 1.0, out=c)
+    np.clip(c, max(MASS_FLOOR, np.finfo(c.dtype).tiny), 1.0, out=c)
     np.log(c, out=r)
     np.abs(r, out=r)
     np.sqrt(r, out=r)

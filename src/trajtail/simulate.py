@@ -39,13 +39,14 @@ class ProcessSpec:
 
     ``PROCESS_PARAMS`` names the fields each kind reads; it ignores the
     others, and each number it reads must be finite.  ``sigma`` (the step
-    scale, or the gradient-noise scale of ``perturbed_gd_quadratic``) and
-    ``curvature`` hold one value, or one value per coordinate.
+    scale, or the gradient-noise scale of ``perturbed_gd_quadratic``), which
+    must be nonnegative, and ``curvature``, which must be positive, hold one
+    value, or one value per coordinate.
     ``stable_levy_walk`` adds i.i.d. symmetric stable
     coordinates of index ``stable_alpha`` in (0, 2]; ``beta_prime_walk`` is
     planar (``dim`` must be 2), with a uniform direction and a beta-prime step
     length; ``perturbed_gd_quadratic`` descends the quadratic from the
-    origin, or from a nonzero ``start`` when given.
+    origin, or from ``start`` (``dim`` values) when given.
     """
 
     kind: str
@@ -81,18 +82,16 @@ class ProcessSpec:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
             if values.size not in (1, self.dim):
                 raise ValueError(f"{name} needs 1 or dim = {self.dim} values, got {values.size}")
+            if name == "sigma" and np.any(values < 0):
+                raise ValueError("sigma must be nonnegative")
+            if name == "curvature" and np.any(values <= 0):
+                raise ValueError("curvature must be positive")
+        if self.kind == "perturbed_gd_quadratic" and self.start is not None and np.shape(self.start) != (self.dim,):
+            raise ValueError(f"start must have dimension {self.dim}")
 
-    def _sigma_vector(self) -> np.ndarray:
-        sig = np.broadcast_to(np.asarray(self.sigma, dtype=np.float64), (self.dim,))
-        if np.any(sig < 0):
-            raise ValueError("sigma must be nonnegative")
-        return sig
-
-    def _curvature_vector(self) -> np.ndarray:
-        curv = np.broadcast_to(np.asarray(self.curvature, dtype=np.float64), (self.dim,))
-        if np.any(curv <= 0):
-            raise ValueError("curvature must be positive")
-        return curv
+    def _vector(self, name: str) -> np.ndarray:
+        """Field ``name`` (``sigma`` or ``curvature``) broadcast to one value per coordinate."""
+        return np.broadcast_to(np.asarray(getattr(self, name), dtype=np.float64), (self.dim,))
 
 
 def stable_transform(alpha: float, u: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -163,10 +162,10 @@ def _points(spec: ProcessSpec) -> np.ndarray:
     n, d = spec.steps, spec.dim
     if spec.kind == "gaussian_walk":
         # one (steps, dim) normal block
-        deltas = rng.standard_normal((n, d)) * spec._sigma_vector()
+        deltas = rng.standard_normal((n, d)) * spec._vector("sigma")
     elif spec.kind == "stable_levy_walk":
         # stable_sample's draws: one (steps, dim) uniform block, then one exponential block
-        deltas = stable_sample(spec.stable_alpha, rng, (n, d)) * spec._sigma_vector()
+        deltas = stable_sample(spec.stable_alpha, rng, (n, d)) * spec._vector("sigma")
     elif spec.kind == "beta_prime_walk":
         # angles first, then step lengths
         angles = rng.uniform(-np.pi, np.pi, n)
@@ -174,11 +173,9 @@ def _points(spec: ProcessSpec) -> np.ndarray:
         deltas = np.column_stack([np.cos(angles), np.sin(angles)]) * lengths[:, None]
     elif spec.kind == "perturbed_gd_quadratic":
         # one (steps, dim) normal block for the gradient noise
-        curv = spec._curvature_vector()
-        noise = rng.standard_normal((n, d)) * spec._sigma_vector()
+        curv = spec._vector("curvature")
+        noise = rng.standard_normal((n, d)) * spec._vector("sigma")
         w = np.zeros(d) if spec.start is None else np.asarray(spec.start, dtype=np.float64)
-        if w.shape != (d,):
-            raise ValueError(f"start must have dimension {d}")
         points = np.empty((n + 1, d))
         points[0] = w
         for k in range(n):

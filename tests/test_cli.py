@@ -160,6 +160,20 @@ class TestExitCodes:
             (("gamma2", "--input", "nope.csv", "--rho", "0.3", "--loss-bound", "2", "--lipschitz", "4"),
              "rho and loss_bound/lipschitz are exclusive"),
             (("ballmass", "--input", "nope.csv", "--mode", "worst"), "unrecognized arguments: --mode worst"),
+            (("analyze", "--input", "nope.csv", "--level-lo", "nan"), "argument --level-lo: expected a level in (0, 1]"),
+            (("ballmass", "--input", "nope.csv", "--level-hi", "inf"),
+             "argument --level-hi: expected a level in (0, 1]"),
+            (("analyze", "--input", "nope.csv", "--window", "nan"),
+             "argument --window: invalid _nonnegative_int value: 'nan'"),
+            (("analyze", "--input", "nope.csv", "--window", "-1"), "argument --window: expected a nonnegative integer"),
+            (("kfunction", "--input", "nope.csv", "--radii-num", "inf"),
+             "argument --radii-num: invalid _positive_int value: 'inf'"),
+            (("stable-index", "--input", "nope.csv", "--block-size", "nan"),
+             "argument --block-size: invalid _block_size value: 'nan'"),
+            (("analyze", "--input", "nope.csv", "--rho", "abc"), "argument --rho: invalid _positive_float value: 'abc'"),
+            (("simulate", "--kind", "gaussian-walk", "--sigma", "-1", "--out", "t.csv"), "sigma must be nonnegative"),
+            (("simulate", "--kind", "perturbed-gd-quadratic", "--curvature", "1,0", "--dim", "2", "--out", "t.csv"),
+             "curvature must be positive"),
         ],
     )
     def test_count_and_range_flags_rejected_before_any_work(self, capsys, tmp_path, monkeypatch, argv, message):

@@ -3,6 +3,7 @@ import logging
 
 import numpy as np
 import pytest
+from scipy.stats import spearmanr
 
 from trajtail import experiments
 from trajtail.cli import main
@@ -12,6 +13,17 @@ from trajtail.ft import SubgradientOptions, estimate_gamma2
 from trajtail.simulate import ProcessSpec, simulate
 
 TINY_GD = StudySpec("gaussian_dimension", replicates=3, seed=21, params={"steps": 3000, "dims": (1, 2)})
+# One small spec per study, each a fraction of a second per run.
+TINY = {
+    "figure1_ordering": StudySpec("figure1_ordering", replicates=2, seed=3, params={"steps": 60, "ft_iterations": 5}),
+    "appendix_c_curve": StudySpec(
+        "appendix_c_curve", replicates=2, seed=5, params={"alpha_points": 3, "steps": 60, "ft_iterations": 20}
+    ),
+    "gaussian_dimension": TINY_GD,
+    "exponent_comparison": StudySpec(
+        "exponent_comparison", replicates=2, seed=4, params={"steps": 400, "stable_alphas": (1.2, 1.8)}
+    ),
+}
 
 
 class TestStudySpec:
@@ -100,12 +112,15 @@ class TestStudySpec:
 
 
 class TestRunStudy:
-    def test_deterministic_and_thread_invariant(self):
-        a = run_study(TINY_GD, threads=1)
-        b = run_study(TINY_GD, threads=2)
+    @pytest.mark.parametrize("study", sorted(TINY))
+    def test_deterministic_and_thread_invariant(self, study):
+        a = run_study(TINY[study], threads=1)
+        b = run_study(TINY[study], threads=2)
+        assert sorted(a.raw) == sorted(b.raw)
         for name in a.raw:
             np.testing.assert_array_equal(a.raw[name], b.raw[name])
         assert a.verdicts == b.verdicts
+        assert a.diagnostics == b.diagnostics
 
     def test_intervals_contain_means(self):
         res = run_study(TINY_GD)
@@ -197,6 +212,30 @@ def test_each_cell_is_one_call_through_a_cell_attribute(monkeypatch):
         calls.clear()
         run_study(spec, threads=2)
         assert calls == [f"_cell_{spec.study}"] * (len(spec.grid) * spec.replicates)
+
+
+def test_spearman_ranks_ties_by_their_average():
+    """Tied values share the mean of their positions, as ``scipy.stats.spearmanr`` ranks them."""
+    rng = np.random.default_rng(7)
+    checked = 0
+    for _ in range(300):
+        n = int(rng.integers(3, 12))
+        x, y = rng.integers(0, 4, (2, n)).astype(np.float64)
+        if np.ptp(x) == 0 or np.ptp(y) == 0:
+            continue  # spearmanr warns on a constant side; checked below
+        assert experiments._spearman(x, y) == pytest.approx(spearmanr(x, y)[0], abs=1e-12)
+        checked += 1
+    assert checked > 200
+    assert experiments._spearman([1, 2, 3], [5, 5, 1]) == pytest.approx(-np.sqrt(0.75))
+    # distinct values keep their ordinal ranks
+    x, y = rng.standard_normal((2, 9))
+    assert experiments._spearman(x, y) == pytest.approx(spearmanr(x, y)[0], abs=1e-12)
+
+
+@pytest.mark.parametrize("x", [[1, 2, 3, 4], [4, 3, 2, 1], [2, 2, 2, 2]])
+def test_spearman_of_a_constant_side_is_zero(x):
+    assert experiments._spearman(x, [2, 2, 2, 2]) == 0.0
+    assert experiments._spearman([2, 2, 2, 2], x) == 0.0
 
 
 def test_json_hook_writes_numpy_values_as_python_values():

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -393,6 +394,30 @@ class TestSmoothedMaxStep:
             worst_curv = max(worst_curv, abs(curvature - expected_curvature) / expected_curvature)
         assert worst_grad <= 1e-6, worst_grad
         assert worst_curv <= 1e-6, worst_curv
+
+    @pytest.mark.parametrize("rho", [1.0, 20.0])
+    def test_zero_weight_anchor_finite_in_both_dtypes(self, rho):
+        """A weightless anchor's cumulative mass starts at 0; the floor keeps its log finite, also in float32.
+
+        ``MASS_FLOOR`` rounds to 0.0 in float32, where the floor is the smallest
+        normal number; the smallest subnormal would overflow ``seg / (c r)``.
+        """
+        gram = TruncatedGram.from_points(rho * np.array([[0.0], [0.3], [0.5]]), rho)
+        p = np.array([0.5, 0.5, 0.0])
+        cum = np.cumsum(p[gram.order], axis=1)
+        expected = np.einsum("ij,ij->i", gram.segments, np.sqrt(np.abs(np.log(np.clip(cum, MASS_FLOOR, 1.0))))) / rho
+        values = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for dtype in ("float64", "float32"):
+                work = _Workspace(gram, dtype)
+                values[dtype] = f = work.integrals(p)
+                gz, curvature = work.gradient(p, f, 0.1)
+                assert np.all(np.isfinite(f)) and np.all(np.isfinite(gz)) and np.isfinite(curvature), dtype
+        np.testing.assert_array_equal(values["float64"], expected)
+        # the float32 floor is higher, so the weightless anchor's integral is smaller there
+        assert values["float32"][2] < values["float64"][2]
+        np.testing.assert_allclose(values["float32"][:2], values["float64"][:2], rtol=1e-6)
 
     @staticmethod
     def _scatter_grams(rng):

@@ -79,12 +79,27 @@ class TestSpecValidation:
 
     def test_unread_numbers_not_checked(self):
         ProcessSpec("beta_prime_walk", dim=2, steps=10, seed=0, sigma=np.nan, gd_step=np.inf)
+        ProcessSpec("gaussian_walk", dim=2, steps=10, seed=0, curvature=-1.0, start=(1.0,))
 
     @pytest.mark.parametrize("field", ["sigma", "curvature"])
     def test_per_coordinate_values_match_dim(self, field):
         ProcessSpec("perturbed_gd_quadratic", dim=3, steps=10, seed=0, **{field: (1.0, 2.0, 3.0)})
         with pytest.raises(ValueError, match=f"^{field} needs 1 or dim = 3 values, got 2"):
             ProcessSpec("perturbed_gd_quadratic", dim=3, steps=10, seed=0, **{field: (1.0, 2.0)})
+
+    @pytest.mark.parametrize(
+        "kind, fields, message",
+        [
+            ("gaussian_walk", {"sigma": -1.0}, "sigma must be nonnegative"),
+            ("stable_levy_walk", {"sigma": (1.0, -0.5)}, "sigma must be nonnegative"),
+            ("perturbed_gd_quadratic", {"curvature": 0.0}, "curvature must be positive"),
+            ("perturbed_gd_quadratic", {"curvature": (1.0, -2.0)}, "curvature must be positive"),
+            ("perturbed_gd_quadratic", {"start": (1.0, 2.0, 3.0)}, "start must have dimension 2"),
+        ],
+    )
+    def test_signs_and_start_checked_at_construction(self, kind, fields, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ProcessSpec(kind, dim=2, steps=10, seed=0, **fields)
 
     @pytest.mark.parametrize(
         "spec",
