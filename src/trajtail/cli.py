@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import sys
 from pathlib import Path
@@ -21,7 +20,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import core, exponents, ft, spatial
 from .core import DataError
-from .experiments import STUDIES, StudySpec, _jsonable, emit_report, run_study
+from .experiments import STUDIES, StudySpec, emit_report, report_json, run_study
 from .simulate import PROCESS_KINDS, PROCESS_PARAMS, ProcessSpec, simulate
 
 _KIND_ALIASES = {k.replace("_", "-"): k for k in PROCESS_KINDS}
@@ -157,19 +156,16 @@ def cmd_simulate(args) -> dict:
 
 def cmd_gamma2(args) -> dict:
     options = _from_flags(ft.SubgradientOptions, args, dtype=args.ft_dtype)
-    rho = ft.resolve_rho(args.rho, args.loss_bound, args.lipschitz)
     trajectory = core.load_trajectory(args.input, args.has_header)
-    est = ft.estimate_gamma2(trajectory, rho, options=options)
+    est = ft.estimate_gamma2(trajectory, args.rho, options=options)
     return {
         "command": "gamma2",
         "gamma2": est.value,
         "weights": est.weights.weights,
         "method": est.method,
         "n": len(trajectory),
-        "rho": rho,
+        "rho": args.rho,
         "seed": args.seed,
-        # a rho derived from --loss-bound/--lipschitz stays unrecorded: a config may not give all three
-        "config": {"rho": rho} if args.loss_bound is None else {},
     }
 
 
@@ -214,8 +210,7 @@ def _attempt(report: dict, key: str, fn) -> None:
 
 def _ball_mass(args, trajectory, lags=(1,)):
     """The ball-mass curve on a grid at quantiles of the step norms at lag ``min(lags)``."""
-    norms = np.linalg.norm(core.increments(trajectory, min(lags)), axis=1)
-    grid = _radius_grid(args, norms, args.level_lo, args.level_hi)
+    grid = _radius_grid(args, core.step_norms(trajectory, min(lags)), args.level_lo, args.level_hi)
     return exponents.ball_mass_curve(trajectory, lags, grid)
 
 
@@ -329,14 +324,12 @@ def cmd_study(args) -> dict:
 def cmd_analyze(args) -> dict:
     options = _from_flags(ft.SubgradientOptions, args, dtype=args.ft_dtype)
     trajectory = core.load_trajectory(args.input, args.has_header, args.window + 1 if args.window else None)
-    rho = ft.resolve_rho(args.rho)
     report: dict = {
         "command": "analyze",
         "n": len(trajectory),
         "dim": trajectory.dim,
-        "rho": rho,
+        "rho": args.rho,
         "seed": args.seed,
-        "config": {"rho": rho},
     }
 
     ft_input = trajectory
@@ -348,7 +341,7 @@ def cmd_analyze(args) -> dict:
             "degenerate_axes": norm.degenerate_axes,
             "convention": "population",
         }
-    est = ft.estimate_gamma2(ft_input, rho, options=options)
+    est = ft.estimate_gamma2(ft_input, args.rho, options=options)
     report["gamma2"] = est.value
     report["gamma2_method"] = est.method
 
@@ -366,7 +359,7 @@ def cmd_analyze(args) -> dict:
     steps = core.increments(trajectory, 1)
     _attempt(report, "stable_index", lambda: exponents.stable_index(steps.ravel(), args.block_size).alpha_hat)
     _attempt(report, "k_function_slope", lambda: spatial.k_function_slope(_k_function(args, trajectory)))
-    _attempt(report, "covering", lambda: {"dudley_value": _cover(args, ft_input, rho)[1].dudley_value})
+    _attempt(report, "covering", lambda: {"dudley_value": _cover(args, ft_input, args.rho)[1].dudley_value})
     return report
 
 
@@ -437,9 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_simulate)
 
     sub = subs.add_parser("gamma2", help="estimate the normalized functional")
-    sub.add_argument("--rho", type=_positive_float, default=None)
-    sub.add_argument("--loss-bound", type=_positive_float, default=None)
-    sub.add_argument("--lipschitz", type=_positive_float, default=None)
+    sub.add_argument("--rho", type=_positive_float, default=1.0)
     sub.add_argument("--seed", type=int, default=0)
     _add_ft_flags(sub)
     _common_flags(sub, needs_input=True)
@@ -539,7 +530,7 @@ def main(argv: list[str] | None = None) -> int:
         report = args.func(args)
         recorded = {k: v for k, v in vars(args).items() if k not in _UNRECORDED}
         report["config"] = {**recorded, **report.get("config", {})}
-        text = json.dumps(report, indent=2, sort_keys=True, default=_jsonable) + "\n"
+        text = report_json(report)
         path = _out_file(args, f"{report['command']}.json")
         if path is not None:
             path.write_text(text)

@@ -26,6 +26,8 @@ __all__ = [
     "load_trajectory",
     "save_trajectory",
     "increments",
+    "step_norms",
+    "check_finite",
     "normalize_by_running_std",
 ]
 
@@ -212,9 +214,7 @@ class RadiusGrid:
     def from_quantiles(cls, values: Sequence[float], levels: Sequence[float]) -> "RadiusGrid":
         """Grid at empirical quantiles of positive ``values`` (duplicates dropped)."""
         vals = np.asarray(values, dtype=np.float64)
-        overflowed = int(np.count_nonzero(~np.isfinite(vals)))
-        if overflowed:
-            raise DataError(f"{overflowed} of {vals.size} values are non-finite (overflowed float64); no quantile grid")
+        check_finite(vals, "values")
         vals = vals[vals > 0]
         if vals.size == 0:
             raise DataError("no positive values to take quantiles of")
@@ -368,6 +368,20 @@ def increments(trajectory: Trajectory, lag: int = 1) -> np.ndarray:
     return deltas
 
 
+def step_norms(trajectory: Trajectory, lag: int = 1) -> np.ndarray:
+    """Euclidean norms of the lag-``lag`` steps; a norm too large for float64 is inf, without a warning."""
+    steps = increments(trajectory, lag)
+    with np.errstate(over="ignore"):
+        return np.linalg.norm(steps, axis=1)
+
+
+def check_finite(values: np.ndarray, what: str) -> None:
+    """Raise :class:`DataError` counting the non-finite ``values``, which overflowed float64."""
+    overflowed = int(np.count_nonzero(~np.isfinite(values)))
+    if overflowed:
+        raise DataError(f"{overflowed} of {values.size} {what} are non-finite (overflowed float64)")
+
+
 @dataclass(frozen=True)
 class RunningStdNormalization:
     """Result of prefix-standard-deviation normalization.
@@ -388,7 +402,8 @@ def normalize_by_running_std(trajectory: Trajectory) -> RunningStdNormalization:
     The variance sum is divided by ``k + 1`` (the population convention).
     Scaling starts at the first index where every varying coordinate has
     positive prefix std; a fully constant trajectory is returned unscaled
-    with all axes flagged.
+    with all axes flagged.  Squared deviations too large for float64 raise
+    :class:`DataError`.
 
     The prefix sums run on the iterates centered at the first one: variance is
     shift-invariant, and a prefix that contains the center has mean square at
@@ -400,10 +415,12 @@ def normalize_by_running_std(trajectory: Trajectory) -> RunningStdNormalization:
     pts = trajectory.points
     n, dim = pts.shape
     counts = np.arange(1, n + 1, dtype=np.float64)[:, None]
-    centered = pts - pts[0]
-    cum = np.cumsum(centered, axis=0)
-    cum2 = np.cumsum(centered * centered, axis=0)
-    var = cum2 / counts - (cum / counts) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = pts - pts[0]
+        cum = np.cumsum(centered, axis=0)
+        cum2 = np.cumsum(centered * centered, axis=0)
+        var = cum2 / counts - (cum / counts) ** 2
+    check_finite(var, "prefix variances")
     sd = np.sqrt(np.clip(var, 0.0, None))
 
     varying = sd[-1] > 0.0

@@ -19,7 +19,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .core import RadiusGrid, Seed, Trajectory, increments, normalize_by_running_std
+from .core import RadiusGrid, Seed, Trajectory, increments, normalize_by_running_std, step_norms
 from .exponents import (
     ball_mass_curve,
     exponent_from_ball_mass,
@@ -29,7 +29,7 @@ from .exponents import (
 from .ft import SubgradientOptions, estimate_gamma2
 from .simulate import ProcessSpec, simulate
 
-__all__ = ["STUDIES", "StudySpec", "CurveStats", "StudyResult", "run_study", "emit_report"]
+__all__ = ["STUDIES", "StudySpec", "CurveStats", "StudyResult", "run_study", "emit_report", "report_json"]
 
 log = logging.getLogger(__name__)
 
@@ -277,7 +277,7 @@ def _cell_appendix_c_curve(alpha: float, seed: Seed, params: Mapping[str, Any]) 
 
 def _cell_gaussian_dimension(dim: int, seed: Seed, params: Mapping[str, Any]) -> dict[str, float]:
     walk = simulate(ProcessSpec("gaussian_walk", dim, params["steps"], seed.spawn(0).base))
-    norms = np.linalg.norm(increments(walk, 1), axis=1)
+    norms = step_norms(walk)
     levels = np.geomspace(params["level_lo"], params["level_hi"], params["n_radii"])
     grid = RadiusGrid.from_quantiles(norms, levels)
     curve = ball_mass_curve(walk, (1,), grid)
@@ -377,7 +377,7 @@ def emit_report(result: StudyResult, out_dir: str | Path) -> list[Path]:
     }
     paths = []
     json_path = out_dir / f"{spec.study}.json"
-    json_path.write_text(json.dumps(summary, indent=2, sort_keys=True, default=_jsonable) + "\n")
+    json_path.write_text(report_json(summary))
     paths.append(json_path)
     single = len(result.stats) == 1
     for name, s in sorted(result.stats.items()):
@@ -389,6 +389,11 @@ def emit_report(result: StudyResult, out_dir: str | Path) -> list[Path]:
                 writer.writerow([_fmt(g), _fmt(m), _fmt(lo), _fmt(hi)])
         paths.append(csv_path)
     return paths
+
+
+def report_json(report) -> str:
+    """``report`` as the text of every JSON report: sorted keys, two-space indent, a final newline."""
+    return json.dumps(report, indent=2, sort_keys=True, default=_jsonable) + "\n"
 
 
 def _jsonable(obj):

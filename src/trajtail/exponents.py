@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import DataError, RadiusGrid, Trajectory, increments
+from .core import DataError, RadiusGrid, Trajectory, check_finite, increments, step_norms
 
 __all__ = [
     "TailFitResult",
@@ -153,11 +153,13 @@ def lower_tail_exponent_reciprocal(trajectory: Trajectory, x_min: float | None =
 
     Since P(|step| <= r) ~ c r^alpha iff P(1/|step| >= y) ~ c y^(-alpha), the
     survival exponent of the reciprocals is the kernel's lower tail exponent.
-    Zero-length steps are dropped and counted in the notes.
+    Zero-length steps are dropped and counted in the notes; a norm too large
+    for float64 raises :class:`DataError`.
     """
     if len(trajectory) < LOW_SAMPLE_THRESHOLD + 1:
         raise DataError(f"need at least {LOW_SAMPLE_THRESHOLD + 1} iterates, got {len(trajectory)}")
-    norms = np.linalg.norm(increments(trajectory, 1), axis=1)
+    norms = step_norms(trajectory)
+    check_finite(norms, "step norms")
     nonzero = norms[norms > 0.0]
     dropped = norms.size - nonzero.size
     if nonzero.size < LOW_SAMPLE_THRESHOLD:
@@ -180,7 +182,7 @@ def ball_mass_curve(trajectory: Trajectory, lags: Iterable[int], radii: RadiusGr
     r = radii.radii
     acc = np.zeros(r.size)
     for k in lag_list:
-        norms = np.sort(np.linalg.norm(increments(trajectory, k), axis=1))
+        norms = np.sort(step_norms(trajectory, k))
         acc += np.searchsorted(norms, r, side="right") / norms.size
     return BallMassCurve(radii, acc / len(lag_list))
 
@@ -208,7 +210,8 @@ def stable_index(samples: Sequence[float], block_size: int = 10) -> StableIndexR
     With Y_j the sums of ``block_size`` consecutive samples,
     ``1/alpha = (mean log|Y| - mean log|X|) / log block_size``; exact under
     the self-similarity |Y| =d K^(1/alpha) |X|.  Zeros are dropped (counted);
-    scaling all samples leaves the estimate unchanged.
+    scaling all samples leaves the estimate unchanged.  A non-finite block sum
+    (overflowed, or holding a non-finite sample) raises :class:`DataError`.
     """
     if block_size < 2:
         raise ValueError(f"block_size must be >= 2, got {block_size}")
@@ -217,7 +220,9 @@ def stable_index(samples: Sequence[float], block_size: int = 10) -> StableIndexR
         raise DataError(f"need at least {10 * block_size} samples, got {x.size}")
     n_blocks = x.size // block_size
     x = x[: n_blocks * block_size]
-    y = x.reshape(n_blocks, block_size).sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = x.reshape(n_blocks, block_size).sum(axis=1)
+    check_finite(y, "block sums")
     ax = np.abs(x[x != 0.0])
     ay = np.abs(y[y != 0.0])
     dropped = int(x.size - ax.size) + int(y.size - ay.size)

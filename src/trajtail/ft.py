@@ -43,7 +43,6 @@ __all__ = [
     "ft_objective",
     "estimate_gamma2",
     "brute_force_gamma2",
-    "resolve_rho",
 ]
 
 # Cumulative masses are clipped into [MASS_FLOOR, 1] before taking logs, or in
@@ -59,23 +58,6 @@ _SQRT_LOG_FLOOR = 1e-6
 
 BRUTE_FORCE_MAX_POINTS = 6
 _BATCH_ROWS = 400_000
-
-
-def resolve_rho(rho: float | None, loss_bound: float | None = None, lipschitz: float | None = None) -> float:
-    """Truncation radius: explicit value, else loss_bound/lipschitz (given together, not with rho), else 1."""
-    if (loss_bound is None) != (lipschitz is None):
-        raise ValueError("loss_bound and lipschitz must be given together")
-    if rho is not None and loss_bound is not None:
-        raise ValueError("rho and loss_bound/lipschitz are exclusive")
-    if rho is not None:
-        if not rho > 0:
-            raise ValueError(f"rho must be positive, got {rho}")
-        return float(rho)
-    if loss_bound is not None:
-        if not (loss_bound > 0 and lipschitz > 0):
-            raise ValueError("loss_bound and lipschitz must be positive")
-        return float(loss_bound) / float(lipschitz)
-    return 1.0
 
 
 @dataclass(frozen=True)
@@ -340,7 +322,7 @@ def _minimize_restart(gram: TruncatedGram, z0: np.ndarray, options: SubgradientO
     return best_val, best_p, trace
 
 
-def estimate_gamma2(w, rho: float | None = None, *, options: SubgradientOptions | None = None) -> FtEstimate:
+def estimate_gamma2(w, rho: float, *, options: SubgradientOptions | None = None) -> FtEstimate:
     """Minimize the objective over the simplex; deterministic given the seed.
 
     Returns the better of the optimized weights and uniform weights, so the
@@ -350,11 +332,10 @@ def estimate_gamma2(w, rho: float | None = None, *, options: SubgradientOptions 
     """
     options = options or DEFAULT_OPTIONS
     pts = w.points if isinstance(w, Trajectory) else Trajectory(w).points
-    rho = resolve_rho(rho)
-    n = pts.shape[0]
+    gram = TruncatedGram.from_points(pts, rho)
+    n = gram.n
     if n == 1:
         return FtEstimate(0.0, SimplexWeights.uniform(1), np.zeros(0), "uniform")
-    gram = TruncatedGram.from_points(pts, rho)
     uniform = SimplexWeights.uniform(n)
     uniform_val = ft_objective(gram, uniform)
 
@@ -404,7 +385,7 @@ def _simplex_grid(q: int, parts: int) -> np.ndarray:
     return np.vstack(blocks)
 
 
-def brute_force_gamma2(w, rho: float | None = None, grid_resolution: int = 200) -> FtEstimate:
+def brute_force_gamma2(w, rho: float, grid_resolution: int = 200) -> FtEstimate:
     """Exhaustive minimum over simplex vectors with coordinates k/q.
 
     Cumulative masses on the grid only take values k/q, so the integrand is
@@ -418,11 +399,10 @@ def brute_force_gamma2(w, rho: float | None = None, grid_resolution: int = 200) 
         raise ValueError(f"brute force supports at most {BRUTE_FORCE_MAX_POINTS} points, got {n}")
     if grid_resolution < 1:
         raise ValueError("grid_resolution must be >= 1")
-    rho = resolve_rho(rho)
+    gram = TruncatedGram.from_points(pts, rho)
     if n == 1:
         return FtEstimate(0.0, SimplexWeights.uniform(1), np.zeros(0), "oracle")
     q = grid_resolution
-    gram = TruncatedGram.from_points(pts, rho)
     grid = _simplex_grid(q, n)
     masses = np.clip(np.arange(q + 1, dtype=np.float64) / q, MASS_FLOOR, 1.0)
     table = np.sqrt(np.abs(np.log(masses)))
@@ -438,4 +418,4 @@ def brute_force_gamma2(w, rho: float | None = None, grid_resolution: int = 200) 
         if vals[k] < best_val:
             best_val = float(vals[k])
             best_row = chunk[k].astype(np.float64) / q
-    return FtEstimate(best_val / rho, SimplexWeights(best_row), np.array([best_val / rho]), "oracle")
+    return FtEstimate(best_val / gram.rho, SimplexWeights(best_row), np.array([best_val / gram.rho]), "oracle")

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from trajtail import experiments
 from trajtail.bounds import BoundInputs
 from trajtail.cli import _BOUND_READS, _from_flags, build_parser, main
 from trajtail.ft import SubgradientOptions
-from trajtail.simulate import PROCESS_PARAMS, ProcessSpec
+from trajtail.simulate import PROCESS_PARAMS, ProcessSpec, simulate
 
 
 def run_cli(capsys, *argv):
@@ -126,10 +127,6 @@ class TestExitCodes:
             (("ballmass", "--input", "nope.csv", "--window", "0.1,1"), "argument --window: expected 0 < lo < hi < 1"),
             (("analyze", "--input", "nope.csv", "--mass-window", "0.1,1"),
              "argument --mass-window: expected 0 < lo < hi < 1"),
-            (("gamma2", "--input", "nope.csv", "--loss-bound", "-1", "--lipschitz", "1"),
-             "argument --loss-bound: expected a positive number"),
-            (("gamma2", "--input", "nope.csv", "--loss-bound", "1", "--lipschitz", "0"),
-             "argument --lipschitz: expected a positive number"),
             (("bound", "--form", "corollary1", "--rho", "0"), "argument --rho: expected a positive number"),
             (("bound", "--form", "j-integral", "--a", "-1"), "argument --a: expected a positive number"),
             (("bound", "--form", "j-integral", "--horizon", "0"), "argument --horizon: expected a positive number"),
@@ -155,10 +152,8 @@ class TestExitCodes:
              "curvature must be finite"),
             (("simulate", "--kind", "gaussian-walk", "--sigma", "1,2", "--dim", "3", "--out", "t.csv"),
              "sigma needs 1 or dim = 3 values, got 2"),
-            (("gamma2", "--input", "nope.csv", "--loss-bound", "2"), "loss_bound and lipschitz must be given together"),
-            (("gamma2", "--input", "nope.csv", "--lipschitz", "4"), "loss_bound and lipschitz must be given together"),
-            (("gamma2", "--input", "nope.csv", "--rho", "0.3", "--loss-bound", "2", "--lipschitz", "4"),
-             "rho and loss_bound/lipschitz are exclusive"),
+            (("gamma2", "--input", "nope.csv", "--loss-bound", "1", "--lipschitz", "4"),
+             "unrecognized arguments: --loss-bound 1 --lipschitz 4"),
             (("ballmass", "--input", "nope.csv", "--mode", "worst"), "unrecognized arguments: --mode worst"),
             (("analyze", "--input", "nope.csv", "--level-lo", "nan"), "argument --level-lo: expected a level in (0, 1]"),
             (("ballmass", "--input", "nope.csv", "--level-hi", "inf"),
@@ -282,6 +277,25 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "stable-index", "--input", str(walk_csv), "--layer-sizes", "1")
         assert code == 1
         assert "sum to 1" in err and "has 2 columns" in err and "argument error" not in err
+
+    @pytest.mark.parametrize(
+        "argv", [("tail-fit",), ("stable-index",), ("ballmass",), ("analyze",), ("analyze", "--normalize")], ids=" ".join
+    )
+    @pytest.mark.parametrize("scale", ["1e-300", "1", "1e200", "+-1.7e308"])
+    def test_extreme_scales_exit_without_warning(self, capsys, tmp_path, argv, scale):
+        """Tiny, unit, huge and overflowing steps: a report or a data error, never an argument error or a warning."""
+        walk = simulate(ProcessSpec("gaussian_walk", 2, 300, 5)).points
+        if scale == "+-1.7e308":
+            walk = np.where(np.arange(len(walk))[:, None] % 2 == 0, 1.7e308, -1.7e308) * np.ones_like(walk)
+        else:
+            walk = walk * float(scale)
+        path = tmp_path / "walk.csv"
+        np.savetxt(path, walk, fmt="%.17g", delimiter=",")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run_cli(capsys, argv[0], "--input", str(path), *argv[1:])
+        assert code in (0, 1), err
+        assert [str(w.message) for w in caught] == [] and "Warning" not in err
 
     def test_overflowing_distances_are_reported_as_overflow(self, tmp_path):
         """Steps and pairwise distances past float64 range read as overflow, not as zero radii, and warn nothing."""
@@ -448,14 +462,6 @@ class TestGamma2Command:
         assert doc["n"] == 301 and doc["rho"] == 0.25 and doc["seed"] == 7
         assert len(doc["weights"]) == 301
 
-    def test_rho_from_loss_and_lipschitz(self, capsys, walk_csv):
-        code, out, _ = run_cli(
-            capsys, "gamma2", "--input", str(walk_csv), "--loss-bound", "1", "--lipschitz", "4",
-            "--iterations", "50", "--restarts", "1",
-        )
-        assert code == 0
-        assert parse(out)["rho"] == 0.25
-
 
 class TestConfigFile:
     def test_config_merged_under_flags(self, capsys, walk_csv, tmp_path):
@@ -537,7 +543,7 @@ _ROUND_TRIP = {
                                   "--sigma", "1,0.5", "--out", "sim.csv"),
     "simulate-perturbed-gd-quadratic": ("simulate", "--kind", "perturbed-gd-quadratic", "--steps", "50",
                                         "--gd-step", "0.2", "--curvature", "1,3", "--out", "sim.csv"),
-    "gamma2": ("gamma2", "--input", "{walk}", "--loss-bound", "1", "--lipschitz", "4", "--seed", "7", *_FT_SMALL),
+    "gamma2": ("gamma2", "--input", "{walk}", "--rho", "0.25", "--seed", "7", *_FT_SMALL),
     "tail-fit": ("tail-fit", "--input", "{walk}"),
     "stable-index": ("stable-index", "--input", "{walk}", "--block-size", "5", "--layer-sizes", "1,1"),
     "ballmass": ("ballmass", "--input", "{walk}", "--lags", "1,2"),

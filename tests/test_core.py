@@ -300,9 +300,14 @@ class TestPairwiseDistances:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             dist = pairwise_distances(np.array([[1e308], [-1e308], [1e308]]))
-            steps = np.linalg.norm(increments(Trajectory([[1e308], [-1e308]])), axis=1)
+            steps = core.step_norms(Trajectory([[1e308], [-1e308]]))
+            # finite steps whose squares overflow
+            squared = Trajectory([[0.0, 0.0], [1e200, 0.0], [1e200, 3.0]])
+            norms, lag_two = core.step_norms(squared), core.step_norms(squared, 2)
         np.testing.assert_array_equal(dist, [[0.0, np.inf, 0.0], [np.inf, 0.0, np.inf], [0.0, np.inf, 0.0]])
         np.testing.assert_array_equal(steps, [np.inf])
+        np.testing.assert_array_equal(norms, [np.inf, 3.0])
+        np.testing.assert_array_equal(lag_two, [np.inf])
 
     def test_trajectory_caches_read_only_matrix(self, rng):
         t = Trajectory(rng.standard_normal((6, 3)))
@@ -428,6 +433,11 @@ class TestNormalizeByRunningStd:
     def test_needs_two_points(self):
         with pytest.raises(DataError, match="needs at least 2 points, got 1"):
             normalize_by_running_std(Trajectory(np.zeros((1, 2))))
+
+    def test_overflowed_squared_deviations_are_data_error(self):
+        pts = np.random.default_rng(0).standard_normal((300, 2)) * 1e200
+        with pytest.raises(DataError, match=r"of 600 prefix variances are non-finite \(overflowed float64\)"):
+            normalize_by_running_std(Trajectory(pts))
 
 
 class TestWeightAndGridTypes:

@@ -81,6 +81,11 @@ class TestLowerTailReciprocal:
         with pytest.raises(DataError, match="iterates, got 30"):
             lower_tail_exponent_reciprocal(Trajectory(np.random.default_rng(0).normal(size=(30, 2))))
 
+    def test_overflowed_step_norms_are_data_error(self):
+        pts = np.random.default_rng(0).standard_normal((300, 2)) * 1e200
+        with pytest.raises(DataError, match=r"299 of 299 step norms are non-finite \(overflowed float64\)"):
+            lower_tail_exponent_reciprocal(Trajectory(pts))
+
     def test_zero_steps_counted_in_notes(self):
         rng = np.random.default_rng(1)
         pts = np.cumsum(rng.lognormal(size=(80, 1)), axis=0)
@@ -193,6 +198,16 @@ class TestStableIndex:
     def test_all_zero_degenerate(self):
         with pytest.raises(DataError, match=r"all samples \(or all block sums\) are zero"):
             stable_index(np.zeros(500), 10)
+
+    def test_non_finite_sample_is_data_error(self):
+        x = np.ones(200)
+        x[7] = np.inf
+        with pytest.raises(DataError, match=r"1 of 20 block sums are non-finite \(overflowed float64\)"):
+            stable_index(x, 10)
+
+    def test_overflowed_block_sums_are_data_error(self):
+        with pytest.raises(DataError, match=r"20 of 20 block sums are non-finite \(overflowed float64\)"):
+            stable_index(np.full(200, 1e308), 10)
 
     def test_needs_enough_samples(self):
         with pytest.raises(DataError, match="need at least 100 samples, got 50"):

@@ -17,7 +17,6 @@ from trajtail.ft import (
     brute_force_gamma2,
     estimate_gamma2,
     ft_objective,
-    resolve_rho,
 )
 from trajtail.simulate import ProcessSpec, simulate
 
@@ -336,18 +335,6 @@ class TestEstimateGamma2:
         t = Trajectory(np.array([[0.0], [1.0]]))
         assert estimate_gamma2(t, 1.0, options=QUICK).value > 0.0
 
-    def test_rho_resolution(self):
-        assert resolve_rho(None) == 1.0
-        assert resolve_rho(None, loss_bound=2.0, lipschitz=8.0) == 0.25
-        assert resolve_rho(0.3) == 0.3
-        with pytest.raises(ValueError):
-            resolve_rho(-1.0)
-        with pytest.raises(ValueError, match="rho and loss_bound/lipschitz are exclusive"):
-            resolve_rho(0.3, loss_bound=2.0, lipschitz=8.0)
-        for given in ({"loss_bound": 2.0}, {"lipschitz": 8.0}):
-            with pytest.raises(ValueError, match="loss_bound and lipschitz must be given together"):
-                resolve_rho(None, **given)
-
 
 def _figure1_stable_cell():
     """The normalized walk and descent options of the figure-1 stable-arm cell (0, 3) at seed 777."""
@@ -525,3 +512,10 @@ class TestBruteForce:
             est = estimate_gamma2(pts, 1.0)
             assert abs(est.value - oracle.value) <= max(0.02 * oracle.value, 1.0 / q)
             assert est.value <= oracle.value + max(1e-9, 1.0 / q)
+
+
+@pytest.mark.parametrize("estimator", [estimate_gamma2, brute_force_gamma2])
+@pytest.mark.parametrize("rho", [0.0, -1.0, np.nan])
+def test_single_point_rejects_nonpositive_rho(estimator, rho):
+    with pytest.raises(ValueError, match=f"rho must be positive, got {rho}"):
+        estimator(np.zeros((1, 2)), rho)
