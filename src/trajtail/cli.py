@@ -56,22 +56,6 @@ def _csv_floats(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.split(","))
 
 
-def _float_pair(text: str, hi_below_one: bool = False) -> tuple[float, float]:
-    """A ``lo,hi`` window of fractions: ``0 < lo < hi <= 1``, or ``hi < 1`` with ``hi_below_one``."""
-    values = _csv_floats(text)
-    if len(values) != 2:
-        raise argparse.ArgumentTypeError(f"expected two comma-separated numbers, got {text!r}")
-    lo, hi = values
-    if not (0.0 < lo < hi and (hi < 1.0 if hi_below_one else hi <= 1.0)):
-        raise argparse.ArgumentTypeError(f"expected 0 < lo < hi {'<' if hi_below_one else '<='} 1, got {text!r}")
-    return values
-
-
-def _mass_window(text: str) -> tuple[float, float]:
-    """A ``lo,hi`` window of ball masses: ``0 < lo < hi < 1``, as ``exponent_from_ball_mass`` requires."""
-    return _float_pair(text, hi_below_one=True)
-
-
 def _bounded(name: str, convert, ok, what: str):
     """An argparse type, named for argparse's ``invalid <name> value``: ``convert(text)``, rejected unless ``ok``."""
     def parse(text: str):
@@ -89,6 +73,11 @@ _level = _bounded("_level", float, lambda v: 0.0 < v <= 1.0, "a level in (0, 1]"
 _nonnegative_int = _bounded("_nonnegative_int", int, lambda v: v >= 0, "a nonnegative integer")
 _positive_int = _bounded("_positive_int", int, lambda v: v >= 1, "a positive integer")
 _block_size = _bounded("_block_size", int, lambda v: v >= 2, "an integer >= 2")
+# ``lo,hi`` windows of fractions; ball masses stay below 1, as ``exponent_from_ball_mass`` requires.
+_float_pair = _bounded("_float_pair", _csv_floats, lambda v: len(v) == 2 and 0.0 < v[0] < v[1] <= 1.0,
+                       "0 < lo < hi <= 1")
+_mass_window = _bounded("_mass_window", _csv_floats, lambda v: len(v) == 2 and 0.0 < v[0] < v[1] < 1.0,
+                        "0 < lo < hi < 1")
 
 
 def _csv_positive_ints(text: str) -> tuple[int, ...]:
@@ -116,12 +105,12 @@ def _radius_grid(args, values: np.ndarray, lo: float, hi: float, rho: float | No
     return core.RadiusGrid.from_quantiles(values, np.geomspace(lo, hi, args.radii_num))
 
 
-def _from_flags(cls, args, **given):
-    """``cls`` built from the parsed flag of each field not in ``given``: a flag's dest is its field's name.
+def _from_flags(cls, args):
+    """``cls`` built from the parsed flag of each field: a flag's dest is its field's name.
 
     A field without a flag raises ``AttributeError`` rather than taking its default.
     """
-    return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls) if f.name not in given}, **given)
+    return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)})
 
 
 def _field_defaults(cls) -> dict:
@@ -155,7 +144,7 @@ def cmd_simulate(args) -> dict:
 
 
 def cmd_gamma2(args) -> dict:
-    options = _from_flags(ft.SubgradientOptions, args, dtype=args.ft_dtype)
+    options = _from_flags(ft.SubgradientOptions, args)
     trajectory = core.load_trajectory(args.input, args.has_header)
     est = ft.estimate_gamma2(trajectory, args.rho, options=options)
     return {
@@ -322,7 +311,7 @@ def cmd_study(args) -> dict:
 
 
 def cmd_analyze(args) -> dict:
-    options = _from_flags(ft.SubgradientOptions, args, dtype=args.ft_dtype)
+    options = _from_flags(ft.SubgradientOptions, args)
     trajectory = core.load_trajectory(args.input, args.has_header, args.window + 1 if args.window else None)
     report: dict = {
         "command": "analyze",
@@ -356,8 +345,11 @@ def cmd_analyze(args) -> dict:
         "ball_mass_exponent",
         lambda: exponents.exponent_from_ball_mass(_ball_mass(args, trajectory), window=args.mass_window),
     )
-    steps = core.increments(trajectory, 1)
-    _attempt(report, "stable_index", lambda: exponents.stable_index(steps.ravel(), args.block_size).alpha_hat)
+    _attempt(
+        report,
+        "stable_index",
+        lambda: exponents.stable_index(core.increments(trajectory, 1).ravel(), args.block_size).alpha_hat,
+    )
     _attempt(report, "k_function_slope", lambda: spatial.k_function_slope(_k_function(args, trajectory)))
     _attempt(report, "covering", lambda: {"dudley_value": _cover(args, ft_input, args.rho)[1].dudley_value})
     return report
@@ -407,7 +399,6 @@ def _add_radii_flags(sub: argparse.ArgumentParser, flags: tuple[str, ...] = tupl
 def _add_ft_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--iterations", type=int, default=ft.DEFAULT_OPTIONS.iterations)
     sub.add_argument("--restarts", type=int, default=ft.DEFAULT_OPTIONS.restarts)
-    sub.add_argument("--ft-dtype", choices=("float64", "float32"), default=ft.DEFAULT_OPTIONS.dtype)
 
 
 def build_parser() -> argparse.ArgumentParser:

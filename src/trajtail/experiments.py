@@ -48,7 +48,6 @@ _DEFAULT_PARAMS: dict[str, dict[str, Any]] = {
         "rho": 1.0,
         "normalization": "full",
         "ft_iterations": 25,
-        "ft_dtype": "float32",
     },
     "appendix_c_curve": {
         "alpha_lo": 1e-2,
@@ -59,7 +58,6 @@ _DEFAULT_PARAMS: dict[str, dict[str, Any]] = {
         "rho": 0.25,
         "normalization": "full",
         "ft_iterations": 300,
-        "ft_dtype": "float64",
     },
     "gaussian_dimension": {
         "dims": (1, 2, 3),
@@ -150,7 +148,6 @@ class StudySpec:
         object.__setattr__(self, "params", p)
         if self.study in ("figure1_ordering", "appendix_c_curve"):
             _require(p["normalization"] in ("full", "running"), p, "normalization in {full, running}")
-            _require(p["ft_dtype"] in ("float64", "float32"), p, "ft_dtype in {float64, float32}")
         if self.study == "figure1_ordering":
             _require(p["stable_alpha"] <= 2, p, "stable_alpha <= 2")
             grid, label = ("stable", "gaussian"), "process"
@@ -258,7 +255,7 @@ def _normalize(trajectory, mode: str):
 def _gamma2(process: ProcessSpec, params: Mapping[str, Any]) -> dict[str, float]:
     """Functional of one normalized simulated walk: the body of both functional cells."""
     walk = _normalize(simulate(process), params["normalization"])
-    options = SubgradientOptions(iterations=params["ft_iterations"], dtype=params["ft_dtype"])
+    options = SubgradientOptions(iterations=params["ft_iterations"])
     return {"gamma2": estimate_gamma2(walk, rho=params["rho"], options=options).value}
 
 

@@ -69,6 +69,18 @@ class TestExitCodes:
         assert code == 2
         assert "--window" in err
 
+    @pytest.mark.parametrize("command", ["gamma2", "analyze"])
+    def test_removed_ft_dtype_flag_rejected(self, capsys, walk_csv, tmp_path, command):
+        """The descent's precision follows the point count; neither a flag nor a config line sets it."""
+        code, out, err = run_cli(capsys, command, "--input", str(walk_csv), "--ft-dtype", "float32")
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --ft-dtype float32" in err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("ft_dtype = float32\n")
+        code, out, err = run_cli(capsys, command, "--input", str(walk_csv), "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --ft-dtype=float32" in err
+
     def test_unread_radii_flags_not_accepted(self, capsys, walk_csv):
         assert run_cli(capsys, "analyze", "--input", str(walk_csv), "--radii-min", "0.5")[0] == 2
         assert run_cli(capsys, "cover", "--input", str(walk_csv), "--level-hi", "0.5")[0] == 2
@@ -235,7 +247,7 @@ class TestExitCodes:
         assert "error" in err
 
 
-    @pytest.mark.parametrize("command", ["analyze", "ballmass", "stable-index"])
+    @pytest.mark.parametrize("command", ["ballmass", "stable-index"])
     def test_one_row_is_data_error(self, capsys, tmp_path, command):
         path = tmp_path / "one.csv"
         path.write_text("1,2\n")
@@ -318,21 +330,24 @@ class TestExitCodes:
         (("bound", "--form", "theorem1-prob", "--loss-bound", "2", "--lipschitz", "3", "--rho", "0.5", "--n", "10",
           "--gamma2", "0.4", "--delta", "0.1", "--mutual-info-inf", "0.2", "--k1", "2", "--unbounded-loss-tail", "0.01"),
          BoundInputs, {"mutual_info_1": 0.0, "k2": 1.0}),
-        (("gamma2", "--input", "t.csv"), SubgradientOptions, {"dtype": "float64"}),
-        (("analyze", "--input", "t.csv"), SubgradientOptions, {"dtype": "float64"}),
+        (("gamma2", "--input", "t.csv"), SubgradientOptions, {}),
+        (("analyze", "--input", "t.csv"), SubgradientOptions, {}),
     ],
 )
 def test_every_built_field_is_a_flag_dest(argv, cls, given):
     """Each field of ``cls`` that a command (variant) reads is the dest of a flag, and the flag's value reaches it.
 
-    ``given`` holds the fields the command passes itself and, for a ``simulate`` kind or a ``bound`` form, those
-    the variant does not read, left at their library defaults.
+    ``given`` holds, for a ``simulate`` kind or a ``bound`` form, the fields the command passes itself and those
+    the variant does not read, left at their library defaults; ``gamma2`` and ``analyze`` build every field
+    through ``_from_flags``.
     """
     args = build_parser().parse_args(argv)
     names = {f.name for f in dataclasses.fields(cls)} - set(given)
     assert names <= set(vars(args))
-    built = _from_flags(cls, args, **given)
+    built = cls(**{name: getattr(args, name) for name in names}, **given)
     assert all(getattr(built, name) == getattr(args, name) for name in names)
+    if not given:
+        assert _from_flags(cls, args) == built
 
 
 def _adversarial_csv(rows: int, cols: int, offset: float, scale: float, duplicate: bool, constant: int, seed: int):
@@ -563,7 +578,6 @@ _ROUND_TRIP = {
     "study": ("study", "--name", "gaussian-dimension", "--replicates", "1", "--seed", "4",
               "--param", "steps=300", "--param", "dims=2"),
     "analyze": ("analyze", "--input", "{walk}", "--rho", "0.25", "--normalize", *_FT_SMALL),
-    "analyze-float32": ("analyze", "--input", "{walk}", "--rho", "0.25", "--ft-dtype", "float32", *_FT_SMALL),
 }
 
 
@@ -805,7 +819,7 @@ class TestStudyCommand:
                 for name in ("figure1-ordering", "appendix-c-curve")
                 for param, message in (
                     ("normalization=fulll", "normalization in {full, running}, got normalization=fulll"),
-                    ("ft_dtype=float16", "ft_dtype in {float64, float32}, got ft_dtype=float16"),
+                    ("ft_dtype=float32", f"unknown parameters for {name.replace('-', '_')}: ['ft_dtype']"),
                 )
             ],
             ("exponent-comparison", "block_size=1", "block_size >= 2, got block_size=1"),
@@ -842,8 +856,7 @@ _RADII_READS = {"level_lo": "--level-lo", "level_hi": "--level-hi", "radii_num":
 # Each analyze entry: the subcommand that reproduces it, the analyze flags that subcommand reads (by config key,
 # with the subcommand's flag name), the entry, and the same value read from the subcommand's report.
 _ANALYZE_ENTRIES = {
-    "gamma2": ("gamma2", {"rho": "--rho", "iterations": "--iterations", "restarts": "--restarts", "seed": "--seed",
-                          "ft_dtype": "--ft-dtype"},
+    "gamma2": ("gamma2", {"rho": "--rho", "iterations": "--iterations", "restarts": "--restarts", "seed": "--seed"},
                lambda doc: (doc["gamma2"], doc["gamma2_method"]), lambda doc: (doc["gamma2"], doc["method"])),
     "reciprocal_power_law": ("tail-fit", {}, lambda doc: doc["reciprocal_power_law"],
                              lambda doc: {k: v for k, v in doc.items() if k not in ("command", "config")}),
@@ -914,6 +927,19 @@ class TestAnalyze:
         assert code == 0, err
         assert analyzed(doc) is not None
         assert analyzed(doc) == reported(parse(out))
+
+    def test_one_row_reports_every_entry(self, capsys, tmp_path):
+        """One row has no steps: ``gamma2`` and ``covering`` are 0, every other entry is null with its error."""
+        path = tmp_path / "one.csv"
+        path.write_text("1,2\n")
+        code, out, err = run_cli(capsys, "analyze", "--input", str(path))
+        assert code == 0, err
+        doc = parse(out)
+        assert doc["n"] == 1 and doc["gamma2"] == 0.0
+        assert doc["covering"] == {"dudley_value": 0.0} and "covering_error" not in doc
+        for key in ("reciprocal_power_law", "ball_mass_exponent", "stable_index", "k_function_slope"):
+            assert doc[key] is None and doc[f"{key}_error"], key
+        assert doc["stable_index_error"] == "lag 1 must be smaller than trajectory length 1"
 
     def test_window_override(self, capsys, walk_csv):
         code, out, _ = run_cli(

@@ -177,7 +177,7 @@ class TestRunStudy:
         spec = StudySpec("appendix_c_curve", replicates=1, seed=9, params=params)
         res = run_study(spec)
         resolved = res.spec.params
-        options = SubgradientOptions(iterations=resolved["ft_iterations"], dtype=resolved["ft_dtype"])
+        options = SubgradientOptions(iterations=resolved["ft_iterations"])
         rho = resolved["rho"]
         for gi, alpha in enumerate(res.spec.grid):
             seed = Seed(9).spawn(gi, 0)

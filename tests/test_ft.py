@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
 
-from trajtail import experiments
+from trajtail import experiments, ft
 from trajtail.core import _DIFF_BUDGET, Seed, SimplexWeights, Trajectory
 from trajtail.ft import (
+    _FLOAT32_MIN_POINTS,
     _MU_END,
     MASS_FLOOR,
     SubgradientOptions,
@@ -310,19 +311,32 @@ class TestEstimateGamma2:
         assert abs(a.value - b.value) <= 1e-9
 
     def test_value_is_float64_objective_of_weights(self, rng):
-        """The reported value is exactly ``ft_objective`` of the reported weights, in both dtypes."""
+        """The reported value is exactly ``ft_objective`` of the reported weights, in both descent dtypes."""
         wins = {"float64": 0, "float32": 0}
         for trial in range(6):
-            n = int(rng.integers(20, 80))
-            pts = random_points(rng, n)
-            g = TruncatedGram.from_points(pts, 0.5)
-            for dtype in wins:
-                opts = SubgradientOptions(iterations=150, restarts=2, seed=trial, dtype=dtype)
-                est = estimate_gamma2(pts, 0.5, options=opts)
+            # below the float32 size at rho 0.5; at or above it at rho 0.1, which keeps w small
+            for dtype, smallest, rho in (("float64", 20, 0.5), ("float32", _FLOAT32_MIN_POINTS, 0.1)):
+                pts = random_points(rng, int(rng.integers(smallest, smallest + 60)))
+                opts = SubgradientOptions(iterations=150, restarts=2, seed=trial)
+                est = estimate_gamma2(pts, rho, options=opts)
                 if est.method == "subgradient":
                     wins[dtype] += 1
-                    assert est.value == ft_objective(g, est.weights), dtype
+                    assert est.value == ft_objective(TruncatedGram.from_points(pts, rho), est.weights), dtype
         assert min(wins.values()) >= 3, wins
+
+    def test_descent_dtype_follows_point_count(self, monkeypatch):
+        """The default descent is the float32 one from ``_FLOAT32_MIN_POINTS`` points up and the float64 one below."""
+        pts = random_points(np.random.default_rng(5), _FLOAT32_MIN_POINTS)
+        options = SubgradientOptions(iterations=5)
+        for n, expected, other in ((len(pts), "float32", "float64"), (len(pts) - 1, "float64", "float32")):
+            default = estimate_gamma2(pts[:n], 0.1, options=options).objective_trace
+            traces = {}
+            for dtype, threshold in (("float32", 0), ("float64", n + 1)):
+                with monkeypatch.context() as m:
+                    m.setattr(ft, "_FLOAT32_MIN_POINTS", threshold)
+                    traces[dtype] = estimate_gamma2(pts[:n], 0.1, options=options).objective_trace
+            np.testing.assert_array_equal(default, traces[expected], err_msg=f"n = {n}")
+            assert not np.array_equal(default, traces[other]), n
 
     def test_deterministic_given_seed(self, rng):
         pts = random_points(rng, 8)
@@ -342,7 +356,7 @@ def _figure1_stable_cell():
     params = experiments.StudySpec("figure1_ordering").params
     process = ProcessSpec("stable_levy_walk", 2, 1000, seed.spawn(0).base, stable_alpha=params["stable_alpha"])
     walk = experiments._normalize(simulate(process), "full")
-    return walk, SubgradientOptions(iterations=25, dtype="float32", seed=seed.spawn(1).base)
+    return walk, SubgradientOptions(iterations=25, seed=seed.spawn(1).base)
 
 
 def _walk_and_rho():
@@ -438,9 +452,9 @@ class TestSmoothedMaxStep:
 
     def test_float32_gradient_allocates_at_most_a_chunk(self):
         """One float32 gradient on the figure-1 stable-arm cell peaks within 1 MB (5.64 MB with a float64 copy)."""
-        walk, options = _figure1_stable_cell()
+        walk, _ = _figure1_stable_cell()
         gram = TruncatedGram.from_points(walk.points, 1.0)
-        work = _Workspace(gram, options.dtype)
+        work = _Workspace(gram, "float32")
         p = _softmax(np.zeros(gram.n))
         f = work.integrals(p)
         tracemalloc.start()
