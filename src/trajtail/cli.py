@@ -166,17 +166,14 @@ def cmd_tail_fit(args) -> dict:
 
 def cmd_stable_index(args) -> dict:
     trajectory = core.load_trajectory(args.input, args.has_header)
-    if args.layer_sizes is not None:
-        sizes = list(args.layer_sizes)
-        if sum(sizes) != trajectory.dim:
-            raise DataError(f"--layer-sizes sum to {sum(sizes)}, but {args.input} has {trajectory.dim} columns")
-        blocks, start = [], 0
-        for s in sizes:
-            blocks.append(list(range(start, start + s)))
-            start += s
-        result = exponents.layerwise_stable_index(trajectory, blocks, args.block_size)
-    else:
-        result = exponents.stable_index(core.increments(trajectory, 1).ravel(), args.block_size)
+    sizes = [trajectory.dim] if args.layer_sizes is None else list(args.layer_sizes)
+    if sum(sizes) != trajectory.dim:
+        raise DataError(f"--layer-sizes sum to {sum(sizes)}, but {args.input} has {trajectory.dim} columns")
+    blocks, start = [], 0
+    for s in sizes:
+        blocks.append(list(range(start, start + s)))
+        start += s
+    result = exponents.layerwise_stable_index(trajectory, blocks, args.block_size)
     return {"command": "stable-index", **dataclasses.asdict(result)}
 
 

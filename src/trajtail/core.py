@@ -369,10 +369,17 @@ def increments(trajectory: Trajectory, lag: int = 1) -> np.ndarray:
 
 
 def step_norms(trajectory: Trajectory, lag: int = 1) -> np.ndarray:
-    """Euclidean norms of the lag-``lag`` steps; a norm too large for float64 is inf, without a warning."""
+    """Euclidean norms of the lag-``lag`` steps; a norm too large for float64 is inf, without a warning.
+
+    Each step is scaled by the power of two that brings its largest absolute
+    coordinate into [0.5, 1) before squaring, and its norm scaled back, so no
+    square overflows or underflows: the norms are right at every scale, and
+    bitwise the unscaled ones wherever those squares are normal floats.
+    """
     steps = increments(trajectory, lag)
+    _, exponent = np.frexp(np.abs(steps).max(axis=1))
     with np.errstate(over="ignore"):
-        return np.linalg.norm(steps, axis=1)
+        return np.ldexp(np.linalg.norm(np.ldexp(steps, -exponent[:, None]), axis=1), exponent)
 
 
 def check_finite(values: np.ndarray, what: str) -> None:
@@ -401,17 +408,15 @@ def normalize_by_running_std(trajectory: Trajectory) -> RunningStdNormalization:
 
     The variance sum is divided by ``k + 1`` (the population convention).
     Scaling starts at the first index where every varying coordinate has
-    positive prefix std; a fully constant trajectory is returned unscaled
-    with all axes flagged.  Squared deviations too large for float64 raise
-    :class:`DataError`.
+    positive prefix std; a fully constant trajectory, a single point among
+    them, is returned unscaled with all axes flagged.  Squared deviations too
+    large for float64 raise :class:`DataError`.
 
     The prefix sums run on the iterates centered at the first one: variance is
     shift-invariant, and a prefix that contains the center has mean square at
     most ``k + 2`` times its variance, so ``E[x^2] - E[x]^2`` keeps its
     precision however far the iterates sit from the origin.
     """
-    if len(trajectory) < 2:
-        raise DataError(f"running-std normalization needs at least 2 points, got {len(trajectory)}")
     pts = trajectory.points
     n, dim = pts.shape
     counts = np.arange(1, n + 1, dtype=np.float64)[:, None]

@@ -193,8 +193,6 @@ def _pairwise_sum(values: np.ndarray) -> float:
     """Deterministic pairwise reduction over replicate index order."""
     v = np.asarray(values, dtype=np.float64)
     n = v.size
-    if n == 0:
-        return 0.0
     while n > 1:
         half = n // 2
         v = np.concatenate([v[:half] + v[half : 2 * half], v[2 * half : n]])

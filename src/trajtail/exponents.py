@@ -153,8 +153,9 @@ def lower_tail_exponent_reciprocal(trajectory: Trajectory, x_min: float | None =
 
     Since P(|step| <= r) ~ c r^alpha iff P(1/|step| >= y) ~ c y^(-alpha), the
     survival exponent of the reciprocals is the kernel's lower tail exponent.
-    Zero-length steps are dropped and counted in the notes; a norm too large
-    for float64 raises :class:`DataError`.
+    Zero-length steps are dropped and counted in the notes; a norm or a
+    reciprocal (of a subnormal norm) too large for float64 raises
+    :class:`DataError`.
     """
     if len(trajectory) < LOW_SAMPLE_THRESHOLD + 1:
         raise DataError(f"need at least {LOW_SAMPLE_THRESHOLD + 1} iterates, got {len(trajectory)}")
@@ -164,7 +165,10 @@ def lower_tail_exponent_reciprocal(trajectory: Trajectory, x_min: float | None =
     dropped = norms.size - nonzero.size
     if nonzero.size < LOW_SAMPLE_THRESHOLD:
         raise DataError(f"only {nonzero.size} nonzero steps (need {LOW_SAMPLE_THRESHOLD})")
-    fit = fit_power_law(1.0 / nonzero, x_min=x_min)
+    with np.errstate(over="ignore"):
+        reciprocals = 1.0 / nonzero
+    check_finite(reciprocals, "reciprocal step norms")
+    fit = fit_power_law(reciprocals, x_min=x_min)
     if dropped:
         fit = replace(fit, notes=fit.notes + (f"dropped {dropped} zero-length steps",))
     return fit

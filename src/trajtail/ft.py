@@ -250,16 +250,13 @@ class _Workspace:
         d = c.sum(axis=1, dtype=np.float64)
         curvature = scale * scale * float(lam @ (d - 2.0 * a * b + a * a * (p @ p)))
         np.multiply(r, (scale * lam).astype(r.dtype)[:, None], out=r)
+        # np.add.at adds in index order, as np.bincount does, so g is bitwise
+        # bincount's; float32 weights are cast one chunk at a time, float64 ones not at all.
         weights = r.reshape(-1)
-        if weights.dtype == np.float64:
-            g = np.bincount(self.idx, weights=weights, minlength=p.size)
-        else:
-            # bincount would cast all n*w weights to one float64 copy.  np.add.at
-            # adds in the same index order, so g is bitwise the same.
-            g = np.zeros(p.size)
-            for start in range(0, weights.size, _DIFF_BUDGET):
-                chunk = slice(start, start + _DIFF_BUDGET)
-                np.add.at(g, self.idx[chunk], weights[chunk].astype(np.float64))
+        g = np.zeros(p.size)
+        for start in range(0, weights.size, _DIFF_BUDGET):
+            chunk = slice(start, start + _DIFF_BUDGET)
+            np.add.at(g, self.idx[chunk], weights[chunk].astype(np.float64, copy=False))
         return p * (g - float(p @ g)), curvature
 
 
@@ -338,24 +335,15 @@ def estimate_gamma2(w, rho: float, *, options: SubgradientOptions | None = None)
     pts = w.points if isinstance(w, Trajectory) else Trajectory(w).points
     gram = TruncatedGram.from_points(pts, rho)
     n = gram.n
-    if n == 1:
-        return FtEstimate(0.0, SimplexWeights.uniform(1), np.zeros(0), "uniform")
     uniform = SimplexWeights.uniform(n)
     uniform_val = ft_objective(gram, uniform)
-
-    best_val = np.inf
-    best_p = None
-    best_trace = np.zeros(0)
-    for r in range(options.restarts):
-        if r == 0:
-            z0 = np.zeros(n)
-        else:
-            z0 = Seed(options.seed).spawn(r).generator().standard_normal(n)
+    best_val, best_p, best_trace = _minimize_restart(gram, np.zeros(n), options)
+    for r in range(1, options.restarts):
+        z0 = Seed(options.seed).spawn(r).generator().standard_normal(n)
         val, p, trace = _minimize_restart(gram, z0, options)
         if val < best_val:
             best_val, best_p, best_trace = val, p, trace
-
-    best = uniform if best_p is None else SimplexWeights(best_p)
+    best = SimplexWeights(best_p)
     best_val = ft_objective(gram, best)
     if uniform_val <= best_val:
         return FtEstimate(uniform_val, uniform, best_trace, "uniform")
@@ -404,8 +392,6 @@ def brute_force_gamma2(w, rho: float, grid_resolution: int = 200) -> FtEstimate:
     if grid_resolution < 1:
         raise ValueError("grid_resolution must be >= 1")
     gram = TruncatedGram.from_points(pts, rho)
-    if n == 1:
-        return FtEstimate(0.0, SimplexWeights.uniform(1), np.zeros(0), "oracle")
     q = grid_resolution
     grid = _simplex_grid(q, n)
     masses = np.clip(np.arange(q + 1, dtype=np.float64) / q, MASS_FLOOR, 1.0)

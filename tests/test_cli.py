@@ -262,13 +262,6 @@ class TestExitCodes:
         assert code == 1
         assert "lag 5 must be smaller than trajectory length 4" in err and "argument error" not in err
 
-    def test_normalize_one_row_is_data_error(self, capsys, tmp_path):
-        path = tmp_path / "one.csv"
-        path.write_text("1,2\n")
-        code, _, err = run_cli(capsys, "analyze", "--input", str(path), "--normalize")
-        assert code == 1
-        assert "at least 2 points" in err and "argument error" not in err
-
     @pytest.mark.parametrize(
         "text, message",
         [
@@ -654,6 +647,27 @@ class TestEstimatorCommands:
         doc = parse(out)
         assert doc["alpha_density"] == pytest.approx(doc["alpha_survival"] + 1.0)
 
+    @pytest.mark.parametrize("k", [40, -40, 600, -600, 1000, -1000])
+    def test_tail_fit_at_power_of_two_scales(self, capsys, tmp_path, walk_csv, k):
+        """A walk scaled by 2^k keeps its exponent and KS distance, and scales ``x_min`` by 2^-k."""
+        path = tmp_path / "scaled.csv"
+        np.savetxt(path, np.ldexp(np.loadtxt(walk_csv, delimiter=","), k), fmt="%.17g", delimiter=",")
+        docs = []
+        for csv in (walk_csv, path):
+            code, out, err = run_cli(capsys, "tail-fit", "--input", str(csv))
+            assert code == 0, err
+            docs.append(parse(out))
+        plain, scaled = docs
+        assert scaled["x_min"] == np.ldexp(plain["x_min"], -k)
+        assert (scaled["alpha_survival"], scaled["ks_distance"]) == (plain["alpha_survival"], plain["ks_distance"])
+
+    def test_tail_fit_on_subnormal_steps_is_data_error(self, capsys, tmp_path, walk_csv):
+        path = tmp_path / "subnormal.csv"
+        np.savetxt(path, np.ldexp(np.loadtxt(walk_csv, delimiter=","), -1060), fmt="%.17g", delimiter=",")
+        code, _, err = run_cli(capsys, "tail-fit", "--input", str(path))
+        assert code == 1
+        assert "reciprocal step norms are non-finite" in err and "argument error" not in err
+
     def test_stable_index_pooled_and_layered(self, capsys, walk_csv):
         code, out, _ = run_cli(capsys, "stable-index", "--input", str(walk_csv), "--block-size", "5")
         assert code == 0
@@ -940,6 +954,22 @@ class TestAnalyze:
         for key in ("reciprocal_power_law", "ball_mass_exponent", "stable_index", "k_function_slope"):
             assert doc[key] is None and doc[f"{key}_error"], key
         assert doc["stable_index_error"] == "lag 1 must be smaller than trajectory length 1"
+
+    def test_normalize_one_row_reports_as_without(self, capsys, tmp_path):
+        """One row is a constant trajectory: left unscaled, both axes degenerate, the rest of the report unchanged."""
+        path = tmp_path / "one.csv"
+        path.write_text("1,2\n")
+        docs = []
+        for flags in ((), ("--normalize",)):
+            code, out, err = run_cli(capsys, "analyze", "--input", str(path), *flags)
+            assert code == 0, err
+            docs.append(parse(out))
+        plain, normalized = docs
+        assert normalized.pop("normalization") == {
+            "first_scaled_index": 1, "degenerate_axes": [0, 1], "convention": "population"
+        }
+        assert normalized["config"].pop("normalize") is True and plain["config"].pop("normalize") is False
+        assert normalized == plain
 
     def test_window_override(self, capsys, walk_csv):
         code, out, _ = run_cli(

@@ -301,13 +301,16 @@ class TestPairwiseDistances:
             warnings.simplefilter("error")
             dist = pairwise_distances(np.array([[1e308], [-1e308], [1e308]]))
             steps = core.step_norms(Trajectory([[1e308], [-1e308]]))
-            # finite steps whose squares overflow
+            # finite steps whose norm overflows, though no coordinate does
+            beyond = core.step_norms(Trajectory([[0.0, 0.0], [1.5e308, 1.5e308]]))
+            # finite steps whose squares overflow keep their norms
             squared = Trajectory([[0.0, 0.0], [1e200, 0.0], [1e200, 3.0]])
             norms, lag_two = core.step_norms(squared), core.step_norms(squared, 2)
         np.testing.assert_array_equal(dist, [[0.0, np.inf, 0.0], [np.inf, 0.0, np.inf], [0.0, np.inf, 0.0]])
         np.testing.assert_array_equal(steps, [np.inf])
-        np.testing.assert_array_equal(norms, [np.inf, 3.0])
-        np.testing.assert_array_equal(lag_two, [np.inf])
+        np.testing.assert_array_equal(beyond, [np.inf])
+        np.testing.assert_array_equal(norms, [1e200, 3.0])
+        np.testing.assert_array_equal(lag_two, [1e200])
 
     def test_trajectory_caches_read_only_matrix(self, rng):
         t = Trajectory(rng.standard_normal((6, 3)))
@@ -333,6 +336,24 @@ class TestTrajectoryType:
     def test_one_dim_input_promoted(self):
         t = Trajectory(np.array([1.0, 2.0, 3.0]))
         assert t.dim == 1 and len(t) == 3
+
+
+class TestStepNorms:
+    @pytest.mark.parametrize("k", [40, -40, 600, -600, 1000, -1000])
+    def test_power_of_two_scaling_is_exact(self, k):
+        """Scaling a walk by 2^k scales its step norms by 2^k bitwise, also where their squares leave float64."""
+        walk = simulate(ProcessSpec("gaussian_walk", 2, 300, 5))
+        scaled = Trajectory(np.ldexp(walk.points, k))
+        for lag in (1, 3):
+            np.testing.assert_array_equal(core.step_norms(scaled, lag), np.ldexp(core.step_norms(walk, lag), k))
+
+    def test_matches_linalg_norm_where_squares_are_normal(self, rng):
+        t = Trajectory(rng.standard_normal((200, 7)) * np.exp(rng.uniform(-50, 50, (200, 1))))
+        np.testing.assert_array_equal(core.step_norms(t), np.linalg.norm(increments(t, 1), axis=1))
+
+    def test_subnormal_steps_keep_a_positive_norm(self):
+        norms = core.step_norms(Trajectory([[0.0, 0.0], [3e-320, 4e-320]]))
+        assert 0.0 < norms[0] and norms[0] == pytest.approx(5e-320, rel=1e-3)
 
 
 class TestIncrements:
@@ -430,9 +451,11 @@ class TestNormalizeByRunningStd:
             scaled = res.trajectory.points[k0:, varying]
             np.testing.assert_allclose(scaled * ref_sd[k0:, varying], pts[k0:, varying], rtol=1e-10, atol=0)
 
-    def test_needs_two_points(self):
-        with pytest.raises(DataError, match="needs at least 2 points, got 1"):
-            normalize_by_running_std(Trajectory(np.zeros((1, 2))))
+    def test_one_point_is_constant(self):
+        one = Trajectory(np.array([[1.0, 2.0]]))
+        res = normalize_by_running_std(one)
+        assert res.trajectory is one
+        assert res.first_scaled_index == 1 and res.degenerate_axes == (0, 1)
 
     def test_overflowed_squared_deviations_are_data_error(self):
         pts = np.random.default_rng(0).standard_normal((300, 2)) * 1e200

@@ -82,7 +82,8 @@ class TestLowerTailReciprocal:
             lower_tail_exponent_reciprocal(Trajectory(np.random.default_rng(0).normal(size=(30, 2))))
 
     def test_overflowed_step_norms_are_data_error(self):
-        pts = np.random.default_rng(0).standard_normal((300, 2)) * 1e200
+        pts = np.full((300, 2), 1.7e308)
+        pts[1::2] *= -1.0
         with pytest.raises(DataError, match=r"299 of 299 step norms are non-finite \(overflowed float64\)"):
             lower_tail_exponent_reciprocal(Trajectory(pts))
 
