@@ -409,24 +409,30 @@ def normalize_by_running_std(trajectory: Trajectory) -> RunningStdNormalization:
     The variance sum is divided by ``k + 1`` (the population convention).
     Scaling starts at the first index where every varying coordinate has
     positive prefix std; a fully constant trajectory, a single point among
-    them, is returned unscaled with all axes flagged.  Squared deviations too
-    large for float64 raise :class:`DataError`.
+    them, is returned unscaled with all axes flagged.  Deviations from the
+    first iterate too large for float64 raise :class:`DataError`.
 
     The prefix sums run on the iterates centered at the first one: variance is
     shift-invariant, and a prefix that contains the center has mean square at
     most ``k + 2`` times its variance, so ``E[x^2] - E[x]^2`` keeps its
-    precision however far the iterates sit from the origin.
+    precision however far the iterates sit from the origin.  Each axis is
+    summed in units of the power of two that brings its largest centered
+    value into [0.5, 1), so no square overflows or underflows: the result is
+    the same at every power-of-two scale, and bitwise the unscaled sums'
+    wherever those squares are normal floats.
     """
     pts = trajectory.points
     n, dim = pts.shape
     counts = np.arange(1, n + 1, dtype=np.float64)[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         centered = pts - pts[0]
-        cum = np.cumsum(centered, axis=0)
-        cum2 = np.cumsum(centered * centered, axis=0)
-        var = cum2 / counts - (cum / counts) ** 2
-    check_finite(var, "prefix variances")
-    sd = np.sqrt(np.clip(var, 0.0, None))
+    check_finite(centered, "deviations from the first iterate")
+    _, exponent = np.frexp(np.abs(centered).max(axis=0))
+    units = np.ldexp(centered, -exponent)
+    cum = np.cumsum(units, axis=0)
+    cum2 = np.cumsum(units * units, axis=0)
+    var = cum2 / counts - (cum / counts) ** 2
+    sd = np.ldexp(np.sqrt(np.clip(var, 0.0, None)), exponent)
 
     varying = sd[-1] > 0.0
     degenerate_axes = tuple(int(i) for i in np.nonzero(~varying)[0])

@@ -92,11 +92,14 @@ class TruncatedGram:
     segments: np.ndarray
 
     @classmethod
-    def from_points(cls, points: np.ndarray, rho: float) -> "TruncatedGram":
+    def from_points(cls, points: np.ndarray, rho: float, *, _distances: np.ndarray | None = None) -> "TruncatedGram":
         """Sort the truncated distances in row blocks of ``core._DIFF_BUDGET`` elements, keeping ``w`` columns.
 
         A read-only ``points`` array is kept by reference; a writable one is
         copied, so a caller changing it later cannot change ``entries``.
+        ``_distances``, passed only inside this package, is the
+        ``pairwise_distances(points)`` a caller already holds; it is copied,
+        never changed, and not computed again.
         """
         if not rho > 0:
             raise ValueError(f"rho must be positive, got {rho}")
@@ -106,7 +109,7 @@ class TruncatedGram:
         if not np.all(np.isfinite(pts)):
             raise ValueError("points contain non-finite coordinates")
         rho = float(rho)
-        dist = pairwise_distances(pts)
+        dist = pairwise_distances(pts) if _distances is None else np.array(_distances)
         np.minimum(dist, rho, out=dist)
         n = pts.shape[0]
         rows = max(1, _DIFF_BUDGET // n)
@@ -330,10 +333,15 @@ def estimate_gamma2(w, rho: float, *, options: SubgradientOptions | None = None)
     exceeds ``sqrt(log n)``).  The value is the float64 ``ft_objective`` of
     the returned weights, also when the descent evaluates in float32 (from
     ``_FLOAT32_MIN_POINTS`` points up).
+
+    A ``Trajectory`` whose ``distances`` are already computed lends them to
+    the Gram.  Otherwise the Gram computes its own and drops them once
+    sorted, so no ``(n, n)`` matrix lives through the descent.
     """
     options = options or DEFAULT_OPTIONS
-    pts = w.points if isinstance(w, Trajectory) else Trajectory(w).points
-    gram = TruncatedGram.from_points(pts, rho)
+    trajectory = w if isinstance(w, Trajectory) else Trajectory(w)
+    # functools.cached_property keeps a computed value in the instance's __dict__
+    gram = TruncatedGram.from_points(trajectory.points, rho, _distances=vars(trajectory).get("distances"))
     n = gram.n
     uniform = SimplexWeights.uniform(n)
     uniform_val = ft_objective(gram, uniform)

@@ -4,6 +4,8 @@ import logging
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import exp1
 
@@ -84,6 +86,42 @@ class TestTheorem1:
     def test_confidence_must_be_positive(self, delta, tail):
         with pytest.raises(ValueError, match="delta \\+ unbounded_loss_tail must be below 1"):
             make_inputs(delta=delta, unbounded_loss_tail=tail)
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        loss_bound=st.floats(1e-3, 1e3),
+        lipschitz=st.floats(1e-3, 1e3),
+        factors=st.lists(st.floats(1e-2, 1e2), min_size=1, max_size=12),
+        shrink=st.lists(st.floats(0.0, 1.0), min_size=12, max_size=12),
+        gamma2_top=st.floats(1e-3, 10.0),
+        n=st.integers(1, 10**6),
+        info=st.floats(0.0, 10.0),
+    )
+    def test_both_bounds_smallest_at_loss_bound_over_lipschitz(
+        self, loss_bound, lipschitz, factors, shrink, gamma2_top, n, info
+    ):
+        """For a ``gamma2(rho)`` that does not increase while ``rho * gamma2(rho)`` does not decrease, as the
+        functional's are, both Theorem-1 bounds on a ``rho`` grid are smallest at ``B/L``, up to rounding.
+
+        Below ``B/L``, ``L_rho = B`` and each bound follows ``gamma2``; above it, ``L_rho = L rho`` and each
+        follows ``rho * gamma2`` and ``rho``.
+        """
+        best = loss_bound / lipschitz
+        grid = sorted({best, *(best * f for f in factors)})
+        # Each next value lies between the previous one scaled by rho_prev/rho and the previous one itself.
+        profile = [gamma2_top]
+        for prev, rho, t in zip(grid, grid[1:], shrink):
+            ratio = prev / rho
+            profile.append(profile[-1] * (ratio + t * (1.0 - ratio)))
+        at_best = grid.index(best)
+        for bound in (theorem1_high_prob_bound, theorem1_expectation_bound):
+            values = [
+                bound(make_inputs(loss_bound=loss_bound, lipschitz=lipschitz, rho=rho, n=n, gamma2=g,
+                                  mutual_info_inf=info, mutual_info_1=info))
+                for rho, g in zip(grid, profile)
+            ]
+            assert values[at_best] <= min(values) * (1 + 1e-12), bound.__name__
 
 
 class TestCorollary1:

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import importlib
 import io
 import json
 import os
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trajtail
-from trajtail import experiments
+from trajtail import core, experiments, ft
 from trajtail.bounds import BoundInputs
 from trajtail.cli import _BOUND_READS, _from_flags, build_parser, main
 from trajtail.ft import SubgradientOptions
@@ -456,6 +457,61 @@ def test_import_loads_no_scipy():
     out = _run_module("-c", probe)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def _probe(code: str, blas_threads: str | None = None) -> str:
+    """Standard output of ``python -c code`` in a fresh interpreter that imports this checkout's package.
+
+    The child's environment has no ``OPENBLAS_NUM_THREADS``, or has it at ``blas_threads``.
+    """
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    env["PYTHONPATH"] = str(Path(trajtail.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip()
+
+
+def test_import_package_loads_no_numpy():
+    """The package's names resolve on first use, so ``python -m trajtail.cli`` reaches the CLI before numpy loads."""
+    assert _probe("import sys, trajtail; print(sorted(m for m in sys.modules if m.startswith(('numpy', 'trajtail.'))))") == "[]"
+
+
+@pytest.mark.parametrize("given, seen", [(None, "1"), ("3", "3")])
+def test_cli_import_sets_one_blas_thread_unless_given(given, seen):
+    assert _probe("import os, trajtail.cli; print(os.environ['OPENBLAS_NUM_THREADS'])", given) == seen
+
+
+# The names ``trajtail`` exported when it imported its submodules eagerly, by the submodule defining each.
+_EXPORTED = {
+    "core": ("DataError", "RadiusGrid", "Seed", "SimplexWeights", "Trajectory", "increments", "load_trajectory",
+             "normalize_by_running_std", "save_trajectory"),
+    "exponents": ("BallMassCurve", "StableIndexResult", "TailFitResult", "ball_mass_curve", "exponent_from_ball_mass",
+                  "fit_power_law", "layerwise_stable_index", "lower_tail_exponent_reciprocal", "stable_index"),
+    "ft": ("FtEstimate", "SubgradientOptions", "TruncatedGram", "brute_force_gamma2", "estimate_gamma2", "ft_objective"),
+    "simulate": ("ProcessSpec", "beta_prime_sample", "simulate", "stable_sample"),
+    "spatial": ("CoveringProfile", "KFunctionCurve", "covering_numbers", "k_function"),
+}
+
+
+@pytest.mark.parametrize("module", sorted(_EXPORTED))
+def test_package_names_resolve_to_their_module_objects(module):
+    """Each exported name is its module's object, and each submodule an attribute, but ``simulate`` the function.
+
+    The submodule ``trajtail.simulate`` is loaded here (the CLI imports it), which binds the submodule as an
+    attribute of the package; the eager imports then rebound ``simulate`` to the function.
+    """
+    defining = importlib.import_module(f"trajtail.{module}")
+    for name in _EXPORTED[module]:
+        assert getattr(trajtail, name) is getattr(defining, name), name
+        assert name in dir(trajtail) and name in trajtail.__all__
+    assert trajtail.simulate is defining.simulate if module == "simulate" else getattr(trajtail, module) is defining
+
+
+def test_package_rejects_unknown_name():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        trajtail.no_such_name
 
 
 class TestGamma2Command:
@@ -970,6 +1026,40 @@ class TestAnalyze:
         }
         assert normalized["config"].pop("normalize") is True and plain["config"].pop("normalize") is False
         assert normalized == plain
+
+    def test_normalize_near_1e_minus_300_reports_the_unscaled_walk(self, capsys, tmp_path):
+        """Prefix variances are summed in power-of-two units, so a walk scaled by 1e-300 normalizes as the unscaled one.
+
+        1e-300 is not a power of two, so the scaled points round differently and ``gamma2`` agrees to rounding.
+        """
+        walk = simulate(ProcessSpec("gaussian_walk", 2, 300, 3))
+        docs = []
+        for scale in (1.0, 1e-300):
+            path = tmp_path / f"walk-{scale}.csv"
+            np.savetxt(path, walk.points * scale, fmt="%.17g", delimiter=",")
+            code, out, err = run_cli(capsys, "analyze", "--input", str(path), "--normalize", *_FT_SMALL)
+            assert code == 0, err
+            docs.append(parse(out))
+        plain, tiny = docs
+        assert plain["normalization"] == {"first_scaled_index": 1, "degenerate_axes": [], "convention": "population"}
+        assert (tiny["normalization"], tiny["gamma2_method"]) == (plain["normalization"], plain["gamma2_method"])
+        assert tiny["gamma2"] == pytest.approx(plain["gamma2"], rel=1e-12)
+
+    @pytest.mark.parametrize("flags, matrices", [((), 1), (("--normalize",), 2)])
+    def test_one_distance_matrix_per_point_set(self, capsys, walk_csv, monkeypatch, flags, matrices):
+        """The Gram, the K-function and the cover read one matrix; ``--normalize`` adds the normalized window's."""
+        shapes = []
+        compute = core.pairwise_distances
+
+        def counting(points):
+            shapes.append(points.shape)
+            return compute(points)
+
+        monkeypatch.setattr(core, "pairwise_distances", counting)
+        monkeypatch.setattr(ft, "pairwise_distances", counting)
+        code, _, err = run_cli(capsys, "analyze", "--input", str(walk_csv), *_FT_SMALL, *flags)
+        assert code == 0, err
+        assert shapes == [(201, 2)] * matrices
 
     def test_window_override(self, capsys, walk_csv):
         code, out, _ = run_cli(

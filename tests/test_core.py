@@ -457,9 +457,21 @@ class TestNormalizeByRunningStd:
         assert res.trajectory is one
         assert res.first_scaled_index == 1 and res.degenerate_axes == (0, 1)
 
-    def test_overflowed_squared_deviations_are_data_error(self):
-        pts = np.random.default_rng(0).standard_normal((300, 2)) * 1e200
-        with pytest.raises(DataError, match=r"of 600 prefix variances are non-finite \(overflowed float64\)"):
+    @pytest.mark.parametrize("k", [40, -40, 600, -600, 1000, -1000])
+    def test_power_of_two_scale_is_exact_at_every_scale(self, k):
+        """A walk scaled by 2^k normalizes to bitwise the same points; the unscaled prefix passes through scaled."""
+        walk = simulate(ProcessSpec("gaussian_walk", dim=2, steps=300, seed=3))
+        a = normalize_by_running_std(walk)
+        b = normalize_by_running_std(Trajectory(np.ldexp(walk.points, k)))
+        k0 = a.first_scaled_index
+        assert (k0, a.degenerate_axes) == (1, ())
+        assert (b.first_scaled_index, b.degenerate_axes) == (k0, a.degenerate_axes)
+        np.testing.assert_array_equal(b.trajectory.points[k0:], a.trajectory.points[k0:])
+        np.testing.assert_array_equal(b.trajectory.points[:k0], np.ldexp(a.trajectory.points[:k0], k))
+
+    def test_overflowed_centering_is_data_error(self):
+        pts = np.array([[1e308, 0.0], [-1e308, 1.0], [0.0, 2.0]])
+        with pytest.raises(DataError, match=r"1 of 6 deviations from the first iterate are non-finite \(overflowed"):
             normalize_by_running_std(Trajectory(pts))
 
 

@@ -50,6 +50,8 @@ def _protocol(module: str, where: ast.FunctionDef | str | None, name: str) -> bo
         return module == "cli.py" and [a.arg for a in where.args.args[:1]] == ["text"]
     if name == "TypeError":  # ``json.dumps``'s ``default`` hook signals an unknown type this way
         return module == "experiments.py" and where.name == "_jsonable"
+    if name == "AttributeError":  # PEP 562: a module's ``__getattr__`` reports a missing name this way
+        return module == "__init__.py" and where.name == "__getattr__" and where.col_offset == 0
     return False
 
 
