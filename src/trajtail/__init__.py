@@ -33,7 +33,14 @@ _EXPORTS = {
         "lower_tail_exponent_reciprocal",
         "stable_index",
     ),
-    "ft": ("FtEstimate", "SubgradientOptions", "TruncatedGram", "brute_force_gamma2", "estimate_gamma2", "ft_objective"),
+    "ft": (
+        "FtEstimate",
+        "SubgradientOptions",
+        "TruncatedGram",
+        "brute_force_gamma2",
+        "estimate_gamma2",
+        "ft_objective",
+    ),
     "simulate": ("ProcessSpec", "beta_prime_sample", "simulate", "stable_sample"),
     "spatial": ("CoveringProfile", "KFunctionCurve", "covering_numbers", "k_function"),
 }

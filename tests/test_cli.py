@@ -379,9 +379,15 @@ def test_analyze_fuzz_exits_with_data_error_or_json(
         json.loads(out.getvalue())
 
 
-def _run_module(*argv: str, cwd: Path | None = None) -> subprocess.CompletedProcess:
-    """Run ``python *argv`` in a fresh interpreter that imports this checkout's package."""
-    env = dict(os.environ, PYTHONPATH=str(Path(trajtail.__file__).resolve().parents[1]))
+def _run_module(*argv: str, cwd: Path | None = None, blas_threads: str | None = None) -> subprocess.CompletedProcess:
+    """Run ``python *argv`` in a fresh interpreter that imports this checkout's package.
+
+    The child inherits no ``OPENBLAS_NUM_THREADS`` (importing the CLI here set it); it has one only at ``blas_threads``.
+    """
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(trajtail.__file__).resolve().parents[1])
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
     return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, cwd=cwd)
 
 
@@ -459,28 +465,19 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-def _probe(code: str, blas_threads: str | None = None) -> str:
-    """Standard output of ``python -c code`` in a fresh interpreter that imports this checkout's package.
-
-    The child's environment has no ``OPENBLAS_NUM_THREADS``, or has it at ``blas_threads``.
-    """
-    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
-    if blas_threads is not None:
-        env["OPENBLAS_NUM_THREADS"] = blas_threads
-    env["PYTHONPATH"] = str(Path(trajtail.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert out.returncode == 0, out.stderr
-    return out.stdout.strip()
-
-
 def test_import_package_loads_no_numpy():
     """The package's names resolve on first use, so ``python -m trajtail.cli`` reaches the CLI before numpy loads."""
-    assert _probe("import sys, trajtail; print(sorted(m for m in sys.modules if m.startswith(('numpy', 'trajtail.'))))") == "[]"
+    probe = "import sys, trajtail; print(sorted(m for m in sys.modules if m.startswith(('numpy', 'trajtail.'))))"
+    out = _run_module("-c", probe)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("given, seen", [(None, "1"), ("3", "3")])
 def test_cli_import_sets_one_blas_thread_unless_given(given, seen):
-    assert _probe("import os, trajtail.cli; print(os.environ['OPENBLAS_NUM_THREADS'])", given) == seen
+    out = _run_module("-c", "import os, trajtail.cli; print(os.environ['OPENBLAS_NUM_THREADS'])", blas_threads=given)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == seen
 
 
 # The names ``trajtail`` exported when it imported its submodules eagerly, by the submodule defining each.
@@ -489,7 +486,8 @@ _EXPORTED = {
              "normalize_by_running_std", "save_trajectory"),
     "exponents": ("BallMassCurve", "StableIndexResult", "TailFitResult", "ball_mass_curve", "exponent_from_ball_mass",
                   "fit_power_law", "layerwise_stable_index", "lower_tail_exponent_reciprocal", "stable_index"),
-    "ft": ("FtEstimate", "SubgradientOptions", "TruncatedGram", "brute_force_gamma2", "estimate_gamma2", "ft_objective"),
+    "ft": ("FtEstimate", "SubgradientOptions", "TruncatedGram", "brute_force_gamma2", "estimate_gamma2",
+           "ft_objective"),
     "simulate": ("ProcessSpec", "beta_prime_sample", "simulate", "stable_sample"),
     "spatial": ("CoveringProfile", "KFunctionCurve", "covering_numbers", "k_function"),
 }
