@@ -2,8 +2,10 @@
 
 Every subcommand prints a JSON report to stdout and optionally writes files
 under ``--out-dir``.  The report's ``config`` holds every flag that shapes the
-output, with resolved values where a command resolves one; written back as a
-``--config`` file (see the README) it reproduces the report.
+output, with resolved values where a command resolves one.  ``@FILE`` anywhere
+on the command line stands for the arguments in FILE, one per line; with the
+config written there as ``--flag=value`` lines (see the README),
+``trajtail <subcommand> @FILE`` reproduces the report.
 Exit codes: 0 success, 1 data/convergence error, 2 argument error.
 """
 
@@ -32,13 +34,9 @@ from .core import DataError
 from .experiments import STUDIES, StudySpec, emit_report, report_json, run_study
 from .simulate import PROCESS_KINDS, PROCESS_PARAMS, ProcessSpec, simulate
 
-_KIND_ALIASES = {k.replace("_", "-"): k for k in PROCESS_KINDS}
-_STUDY_ALIASES = {s.replace("_", "-"): s for s in STUDIES}
 # Parsed keys a report's config leaves out: parser bookkeeping, where files go,
 # and settings that change no output value.
-_UNRECORDED = ("func", "subcommand", "out_dir", "verbose", "threads", "config")
-# The store_true flags: a config-file line sets one only with a true value.
-_SWITCHES = ("has_header", "normalize", "verbose")
+_UNRECORDED = ("func", "subcommand", "out_dir", "verbose", "threads")
 # The flags each ``bound --form`` reads, and the CLI defaults of those that are not ``BoundInputs`` defaults.
 _THEOREM1 = ("loss_bound", "lipschitz", "rho", "n", "gamma2")
 _BOUND_READS = {
@@ -87,6 +85,14 @@ _float_pair = _bounded("_float_pair", _csv_floats, lambda v: len(v) == 2 and 0.0
                        "0 < lo < hi <= 1")
 _mass_window = _bounded("_mass_window", _csv_floats, lambda v: len(v) == 2 and 0.0 < v[0] < v[1] < 1.0,
                         "0 < lo < hi < 1")
+_radii_range = _bounded("_radii_range", _csv_floats, lambda v: len(v) == 2 and 0.0 < v[0] < v[1] < np.inf,
+                        "0 < min < max < inf")
+_param = _bounded("_param", str, lambda v: "=" in v, "KEY=VALUE")
+
+
+def _underscored(text: str) -> str:
+    """A ``--kind`` or ``--name`` in either spelling, as its underscore one."""
+    return text.replace("-", "_")
 
 
 def _csv_positive_ints(text: str) -> tuple[int, ...]:
@@ -98,17 +104,16 @@ def _common_flags(sub: argparse.ArgumentParser, needs_input: bool = False) -> No
         sub.add_argument("--input", required=True, help="trajectory CSV (one iterate per row)")
         sub.add_argument("--has-header", action="store_true", help="skip a single header row")
     sub.add_argument("--out-dir", default=None, help="directory for JSON/CSV outputs")
-    sub.add_argument("--config", default=None, help="key = value file merged under explicit flags")
     sub.add_argument("--verbose", action="store_true", default=False, help="log progress to stderr")
 
 
 def _radius_grid(args, values: np.ndarray, lo: float, hi: float, rho: float | None = None) -> core.RadiusGrid:
-    """``--radii-min``..``--radii-max`` when given, else quantiles of ``values`` at levels ``lo``..``hi``.
+    """``--radii-num`` log-spaced radii over ``--radii-range``, else radii at quantiles ``lo``..``hi`` of ``values``.
 
     With ``rho`` and no positive value (one point, or all points equal) the grid is ``[rho]``.
     """
-    if getattr(args, "radii_min", None) is not None:
-        return core.RadiusGrid.geometric(args.radii_min, args.radii_max, args.radii_num)
+    if getattr(args, "radii_range", None) is not None:
+        return core.RadiusGrid(np.geomspace(*args.radii_range, args.radii_num))
     if rho is not None and not np.any(values > 0):
         return core.RadiusGrid(np.array([rho]))
     return core.RadiusGrid.from_quantiles(values, np.geomspace(lo, hi, args.radii_num))
@@ -138,13 +143,11 @@ def _variant_inputs(args, variant: str, reads: tuple[str, ...], defaults: dict) 
 
 
 def cmd_simulate(args) -> dict:
-    kind = _KIND_ALIASES.get(args.kind, args.kind)
-    params = _variant_inputs(args, f"--kind {args.kind}", PROCESS_PARAMS[kind], _field_defaults(ProcessSpec))
-    trajectory = simulate(ProcessSpec(kind, args.dim, args.steps, args.seed, **params))
+    params = _variant_inputs(args, f"--kind {args.kind}", PROCESS_PARAMS[args.kind], _field_defaults(ProcessSpec))
+    trajectory = simulate(ProcessSpec(args.kind, args.dim, args.steps, args.seed, **params))
     core.save_trajectory(trajectory, args.out)
     return {
         "command": "simulate",
-        "config": {"kind": kind},
         "out": str(args.out),
         "n_points": len(trajectory),
         "dim": trajectory.dim,
@@ -294,25 +297,22 @@ def cmd_bound(args) -> dict:
 
 
 def cmd_study(args) -> dict:
-    name = _STUDY_ALIASES.get(args.name, args.name)
     params = {}
     for item in args.param or []:
-        if "=" not in item:
-            raise ValueError(f"--param expects KEY=VALUE, got {item!r}")
         key, raw = item.split("=", 1)
         params[key.strip()] = raw.strip()
-    spec = StudySpec(name, replicates=args.replicates, seed=args.seed, params=params)
+    spec = StudySpec(args.name, replicates=args.replicates, seed=args.seed, params=params)
     result = run_study(spec, threads=args.threads)
     out_dir = Path(args.out_dir) if args.out_dir is not None else Path(".")
     paths = emit_report(result, out_dir)
     return {
         "command": "study",
-        "study": name,
+        "study": args.name,
         "files": [str(p) for p in paths],
         "verdicts": result.verdicts,
         "diagnostics": result.diagnostics,
         "seed": args.seed,
-        "config": {"name": name, "replicates": spec.replicates},
+        "config": {"replicates": spec.replicates},
     }
 
 
@@ -364,36 +364,8 @@ def cmd_analyze(args) -> dict:
     return report
 
 
-def _with_config_file(argv: list[str]) -> list[str]:
-    """Insert a ``--config`` file's ``key = value`` lines as flags before the explicit ones.
-
-    argparse then resolves them with the explicit flags, so the last value wins
-    and a repeated ``param`` line appends.
-    """
-    pre = argparse.ArgumentParser(prog="trajtail", add_help=False)
-    pre.add_argument("--config")
-    path = pre.parse_known_args(argv[1:])[0].config
-    if path is None:
-        return argv
-    flags: list[str] = []
-    for line_no, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ValueError(f"{path}: line {line_no}: expected 'key = value'")
-        key, raw = (part.strip() for part in stripped.split("=", 1))
-        flag = "--" + key.replace("_", "-")
-        if key.replace("-", "_") not in _SWITCHES:
-            flags.append(f"{flag}={raw}")
-        elif raw.lower() in ("1", "true", "yes", "on"):
-            flags.append(flag)
-    return [argv[0], *flags, *argv[1:]]
-
-
 _RADII_FLAGS = {
-    "--radii-min": {"type": _positive_float, "default": None},
-    "--radii-max": {"type": _positive_float, "default": None},
+    "--radii-range": {"type": _radii_range, "default": None, "metavar": "MIN,MAX"},
     "--radii-num": {"type": _positive_int, "default": 48},
     "--level-lo": {"type": _level, "default": 0.002},
     "--level-hi": {"type": _level, "default": 0.5},
@@ -411,11 +383,11 @@ def _add_ft_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="trajtail", description=__doc__)
+    parser = argparse.ArgumentParser(prog="trajtail", description=__doc__, fromfile_prefix_chars="@")
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
     sub = subs.add_parser("simulate", help="generate a process trajectory", argument_default=argparse.SUPPRESS)
-    sub.add_argument("--kind", required=True, choices=sorted(_KIND_ALIASES) + sorted(PROCESS_KINDS))
+    sub.add_argument("--kind", required=True, type=_underscored, choices=PROCESS_KINDS)
     sub.add_argument("--dim", type=int, default=2)
     sub.add_argument("--steps", type=int, default=1000)
     sub.add_argument("--seed", type=int, default=0)
@@ -462,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("cover", help="greedy covering numbers and entropy integral")
     sub.add_argument("--rho", type=_positive_float, default=1.0)
-    _add_radii_flags(sub, ("--radii-min", "--radii-max", "--radii-num", "--level-lo"))
+    _add_radii_flags(sub, ("--radii-range", "--radii-num", "--level-lo"))
     _common_flags(sub, needs_input=True)
     sub.set_defaults(func=cmd_cover)
 
@@ -490,10 +462,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_bound)
 
     sub = subs.add_parser("study", help="run a bundled simulation study")
-    sub.add_argument("--name", required=True, choices=sorted(_STUDY_ALIASES) + sorted(STUDIES))
+    sub.add_argument("--name", required=True, type=_underscored, choices=STUDIES)
     sub.add_argument("--replicates", type=int, default=None)
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--param", action="append", help="override a study parameter, KEY=VALUE")
+    sub.add_argument("--param", action="append", type=_param, help="override a study parameter, KEY=VALUE")
     sub.add_argument("--threads", type=_positive_int, default=1, help="worker threads for the study cells")
     _common_flags(sub)
     sub.set_defaults(func=cmd_study)
@@ -514,14 +486,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(_with_config_file(argv))
-        if (getattr(args, "radii_min", None) is None) != (getattr(args, "radii_max", None) is None):
-            parser.error("--radii-min and --radii-max must be given together")
-        if getattr(args, "radii_min", None) is not None and not args.radii_min < args.radii_max:
-            parser.error("--radii-min must be below --radii-max")
+        args = build_parser().parse_args(argv)
         logging.basicConfig(
             level=logging.INFO if args.verbose else logging.WARNING,
             stream=sys.stderr,

@@ -207,10 +207,6 @@ class RadiusGrid:
         return self.radii.size
 
     @classmethod
-    def geometric(cls, lo: float, hi: float, num: int) -> "RadiusGrid":
-        return cls(np.geomspace(lo, hi, num))
-
-    @classmethod
     def from_quantiles(cls, values: Sequence[float], levels: Sequence[float]) -> "RadiusGrid":
         """Grid at empirical quantiles of positive ``values`` (duplicates dropped)."""
         vals = np.asarray(values, dtype=np.float64)
@@ -393,9 +389,9 @@ def check_finite(values: np.ndarray, what: str) -> None:
 class RunningStdNormalization:
     """Result of prefix-standard-deviation normalization.
 
-    ``first_scaled_index`` is the first index from which scaling was applied;
-    earlier points are passed through unscaled.  Coordinates that never vary
-    are listed in ``degenerate_axes`` and left unscaled throughout.
+    ``first_scaled_index`` is the first index whose own prefix std scales it;
+    earlier points are divided by that index's std.  Coordinates that never
+    vary are listed in ``degenerate_axes`` and left unscaled throughout.
     """
 
     trajectory: Trajectory
@@ -407,10 +403,12 @@ def normalize_by_running_std(trajectory: Trajectory) -> RunningStdNormalization:
     """Divide iterate k coordinate-wise by the std of iterates 0..k.
 
     The variance sum is divided by ``k + 1`` (the population convention).
-    Scaling starts at the first index where every varying coordinate has
-    positive prefix std; a fully constant trajectory, a single point among
-    them, is returned unscaled with all axes flagged.  Deviations from the
-    first iterate too large for float64 raise :class:`DataError`.
+    Each iterate from the first index where every varying coordinate has
+    positive prefix std is divided by its own prefix std, and the iterates
+    before it by that index's, so no varying axis keeps raw units.  A fully
+    constant trajectory, a single point among them, is returned unscaled with
+    all axes flagged.  Deviations from the first iterate too large for float64
+    raise :class:`DataError`.
 
     The prefix sums run on the iterates centered at the first one: variance is
     shift-invariant, and a prefix that contains the center has mean square at
@@ -441,7 +439,8 @@ def normalize_by_running_std(trajectory: Trajectory) -> RunningStdNormalization:
 
     positive_from = np.argmax(sd[:, varying] > 0.0, axis=0)
     k0 = int(positive_from.max())
+    sd[:k0] = sd[k0]
     scaled = pts.copy()
     cols = np.nonzero(varying)[0]
-    scaled[k0:, cols] = pts[k0:, cols] / sd[k0:, cols]
+    scaled[:, cols] = pts[:, cols] / sd[:, cols]
     return RunningStdNormalization(Trajectory(scaled), k0, degenerate_axes)

@@ -48,7 +48,7 @@ __all__ = [
 # Cumulative masses are clipped into [MASS_FLOOR, 1] before taking logs, or in
 # float32, where 1e-300 rounds to zero, into [its smallest normal number, 1].
 MASS_FLOOR = 1e-300
-# Smoothing of the max over anchors falls geometrically from start to end.  The
+# Smoothing of the max over anchors falls by a constant factor per iteration.  The
 # high start matters: over 30 appendix-C cells (300 iterations) a start of 0.02
 # ends about 0.026 higher on average than a start of 0.1.
 _MU_START = 0.1
@@ -287,8 +287,9 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 def _minimize_restart(gram: TruncatedGram, z0: np.ndarray, options: SubgradientOptions):
     """Accelerated gradient descent from logits ``z0`` on the smoothed max ``mu * logsumexp(f / mu)``.
 
-    ``f`` are the anchor integrals over ``rho``, and ``mu`` falls
-    geometrically from ``_MU_START`` to ``_MU_END`` (Nesterov 2005).
+    ``f`` are the anchor integrals over ``rho``, and ``mu`` falls by a
+    constant factor per iteration from ``_MU_START`` to ``_MU_END`` (Nesterov
+    2005).
     Iteration ``k`` evaluates at the momentum point ``y = z + k/(k+3) (z -
     z_prev)`` and steps from ``y`` by ``2 mu / L`` times the full gradient
     there, ``L`` as in ``_Workspace.gradient``.  The momentum is never reset:

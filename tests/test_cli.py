@@ -72,18 +72,18 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["gamma2", "analyze"])
     def test_removed_ft_dtype_flag_rejected(self, capsys, walk_csv, tmp_path, command):
-        """The descent's precision follows the point count; neither a flag nor a config line sets it."""
+        """The descent's precision follows the point count; neither a flag nor an argument-file line sets it."""
         code, out, err = run_cli(capsys, command, "--input", str(walk_csv), "--ft-dtype", "float32")
         assert code == 2 and out == ""
         assert "unrecognized arguments: --ft-dtype float32" in err
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("ft_dtype = float32\n")
-        code, out, err = run_cli(capsys, command, "--input", str(walk_csv), "--config", str(cfg))
+        args_file = tmp_path / "run.args"
+        args_file.write_text("--ft-dtype=float32\n")
+        code, out, err = run_cli(capsys, command, "--input", str(walk_csv), f"@{args_file}")
         assert code == 2 and out == ""
         assert "unrecognized arguments: --ft-dtype=float32" in err
 
     def test_unread_radii_flags_not_accepted(self, capsys, walk_csv):
-        assert run_cli(capsys, "analyze", "--input", str(walk_csv), "--radii-min", "0.5")[0] == 2
+        assert run_cli(capsys, "analyze", "--input", str(walk_csv), "--radii-range", "0.1,1")[0] == 2
         assert run_cli(capsys, "cover", "--input", str(walk_csv), "--level-hi", "0.5")[0] == 2
         assert run_cli(capsys, "analyze", "--input", str(walk_csv), "--threads", "2")[0] == 2
         assert run_cli(capsys, "gamma2", "--input", str(walk_csv), "--threads", "2")[0] == 2
@@ -129,14 +129,14 @@ class TestExitCodes:
             (("gamma2", "--input", "nope.csv", "--rho", "-1"), "argument --rho: expected a positive number"),
             (("analyze", "--input", "nope.csv", "--rho", "0"), "argument --rho: expected a positive number"),
             (("cover", "--input", "nope.csv", "--rho", "inf"), "argument --rho: expected a positive number"),
-            (("ballmass", "--input", "nope.csv", "--radii-min", "-1", "--radii-max", "2"),
-             "argument --radii-min: expected a positive number"),
-            (("kfunction", "--input", "nope.csv", "--radii-min", "0.1", "--radii-max", "nan"),
-             "argument --radii-max: expected a positive number"),
-            (("cover", "--input", "nope.csv", "--radii-min", "3", "--radii-max", "1"),
-             "--radii-min must be below --radii-max"),
-            (("ballmass", "--input", "nope.csv", "--radii-min", "2", "--radii-max", "2"),
-             "--radii-min must be below --radii-max"),
+            (("ballmass", "--input", "nope.csv", "--radii-range=-1,2"),
+             "argument --radii-range: expected 0 < min < max < inf, got '-1,2'"),
+            (("kfunction", "--input", "nope.csv", "--radii-range", "0.1,nan"),
+             "argument --radii-range: expected 0 < min < max < inf, got '0.1,nan'"),
+            (("cover", "--input", "nope.csv", "--radii-range", "3,1"),
+             "argument --radii-range: expected 0 < min < max < inf, got '3,1'"),
+            (("ballmass", "--input", "nope.csv", "--radii-range", "2,2"),
+             "argument --radii-range: expected 0 < min < max < inf, got '2,2'"),
             (("ballmass", "--input", "nope.csv", "--window", "0.1,1"), "argument --window: expected 0 < lo < hi < 1"),
             (("analyze", "--input", "nope.csv", "--mass-window", "0.1,1"),
              "argument --mass-window: expected 0 < lo < hi < 1"),
@@ -182,6 +182,12 @@ class TestExitCodes:
             (("simulate", "--kind", "gaussian-walk", "--sigma", "-1", "--out", "t.csv"), "sigma must be nonnegative"),
             (("simulate", "--kind", "perturbed-gd-quadratic", "--curvature", "1,0", "--dim", "2", "--out", "t.csv"),
              "curvature must be positive"),
+            (("kfunction", "--input", "nope.csv", "--radii-range", "0.1,inf"),
+             "argument --radii-range: expected 0 < min < max < inf, got '0.1,inf'"),
+            (("cover", "--input", "nope.csv", "--radii-range", "0.1,x"),
+             "argument --radii-range: invalid _radii_range value: '0.1,x'"),
+            (("study", "--name", "gaussian-dimension", "--param", "steps"),
+             "argument --param: expected KEY=VALUE, got 'steps'"),
         ],
     )
     def test_count_and_range_flags_rejected_before_any_work(self, capsys, tmp_path, monkeypatch, argv, message):
@@ -197,11 +203,12 @@ class TestExitCodes:
         assert code == 0
         assert parse(out)["config"]["window"] == [0.02, 1.0]
 
-    @pytest.mark.parametrize("argv", [("ballmass", "--radii-min", "0.5"), ("cover", "--radii-max", "3")])
+    @pytest.mark.parametrize("argv", [("ballmass", "--radii-range", "0.5"), ("cover", "--radii-range", "3")])
     def test_half_given_radii_rejected(self, capsys, walk_csv, argv):
+        """One flag holds both ends of the range, so one number alone is an argument error."""
         code, _, err = run_cli(capsys, *argv, "--input", str(walk_csv))
         assert code == 2
-        assert "--radii-min" in err and "--radii-max" in err
+        assert f"argument --radii-range: expected 0 < min < max < inf, got '{argv[-1]}'" in err
 
     @pytest.mark.parametrize("command", ["gamma2", "tail-fit"])
     def test_non_finite_cell_is_data_error(self, capsys, tmp_path, command):
@@ -444,17 +451,34 @@ def _help_text(capsys, *argv) -> str:
     return out
 
 
+_FLAG = r"(?<![\w-])--\w[\w-]*"
+_README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _help_flags(capsys) -> dict[str, set[str]]:
+    """Each subcommand's flags, as its ``--help`` lists them."""
+    subcommands = re.search(r"\{([\w,-]+)\}", _help_text(capsys)).group(1).split(",")
+    return {sub: set(re.findall(_FLAG, _help_text(capsys, sub))) for sub in subcommands}
+
+
 def test_every_help_flag_is_in_readme(capsys):
     """Each flag a subcommand's ``--help`` lists is documented in README.md."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    subcommands = re.search(r"\{([\w,-]+)\}", _help_text(capsys)).group(1).split(",")
+    readme = _README.read_text()
+    flags = _help_flags(capsys)
     missing = [
         f"{sub} {flag}"
-        for sub in subcommands
-        for flag in sorted(set(re.findall(r"(?<![\w-])--\w[\w-]*", _help_text(capsys, sub))) - {"--help"})
+        for sub in flags
+        for flag in sorted(flags[sub] - {"--help"})
         if not re.search(rf"{re.escape(flag)}(?![\w-])", readme)
     ]
-    assert "ballmass" in subcommands and missing == []
+    assert "ballmass" in flags and missing == []
+
+
+def test_every_readme_flag_is_a_cli_flag(capsys):
+    """Each ``--flag`` README.md names, apart from pip's and pytest's, is a flag of some subcommand, so no removed
+    flag lingers in the text."""
+    known = set().union(*_help_flags(capsys).values()) | {"--no-build-isolation", "--durations"}
+    assert sorted(set(re.findall(_FLAG, _README.read_text())) - known) == []
 
 
 def test_import_loads_no_scipy():
@@ -526,76 +550,113 @@ class TestGamma2Command:
 
 
 class TestConfigFile:
+    """A configuration is an argument file: ``@FILE`` expands in place to one argument per line."""
+
     def test_config_merged_under_flags(self, capsys, walk_csv, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("rho = 0.5\niterations = 40\nrestarts = 1\n")
-        code, out, _ = run_cli(capsys, "gamma2", "--input", str(walk_csv), "--config", str(cfg))
+        args_file = tmp_path / "run.args"
+        args_file.write_text("--rho=0.5\n--iterations=40\n--restarts=1\n")
+        code, out, _ = run_cli(capsys, "gamma2", "--input", str(walk_csv), f"@{args_file}")
         assert code == 0
         doc = parse(out)
         assert doc["rho"] == 0.5 and doc["config"]["iterations"] == 40
 
     def test_explicit_flag_wins(self, capsys, walk_csv, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("rho = 0.5\niterations = 40\nrestarts = 1\n")
-        code, out, _ = run_cli(
-            capsys, "gamma2", "--input", str(walk_csv), "--config", str(cfg), "--rho", "0.125"
-        )
+        args_file = tmp_path / "run.args"
+        args_file.write_text("--rho=0.5\n--iterations=40\n--restarts=1\n")
+        code, out, _ = run_cli(capsys, "gamma2", "--input", str(walk_csv), f"@{args_file}", "--rho", "0.125")
         assert code == 0
         assert parse(out)["rho"] == 0.125
 
     def test_recorded_mode_line_rejected(self, capsys, walk_csv, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"input = {walk_csv}\nmode = average\n")
-        code, out, err = run_cli(capsys, "ballmass", "--config", str(cfg))
+        args_file = tmp_path / "run.args"
+        args_file.write_text(f"--input={walk_csv}\n--mode=average\n")
+        code, out, err = run_cli(capsys, "ballmass", f"@{args_file}")
         assert code == 2 and out == ""
         assert "unrecognized arguments: --mode=average" in err
 
     def test_unknown_key_rejected(self, capsys, walk_csv, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("rhoo = 0.5\n")
-        code, _, err = run_cli(capsys, "gamma2", "--input", str(walk_csv), "--config", str(cfg))
+        args_file = tmp_path / "run.args"
+        args_file.write_text("--rhoo=0.5\n")
+        code, _, err = run_cli(capsys, "gamma2", "--input", str(walk_csv), f"@{args_file}")
         assert code == 2
+        assert "unrecognized arguments: --rhoo=0.5" in err
 
     def test_abbreviated_explicit_flag_wins(self, capsys, walk_csv, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("rho = 0.5\niterations = 40\nrestarts = 1\n")
-        code, out, _ = run_cli(capsys, "gamma2", "--input", str(walk_csv), "--config", str(cfg), "--iter", "7")
+        args_file = tmp_path / "run.args"
+        args_file.write_text("--rho=0.5\n--iterations=40\n--restarts=1\n")
+        code, out, _ = run_cli(capsys, "gamma2", "--input", str(walk_csv), f"@{args_file}", "--iter", "7")
         assert code == 0
         assert parse(out)["config"]["iterations"] == 7
 
     def test_param_lines_append_and_explicit_param_wins(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        cfg = tmp_path / "p.cfg"
-        cfg.write_text("replicates = 1\nparam = steps=2000\nparam = dims=2\n")
+        args_file = tmp_path / "p.args"
+        args_file.write_text("--replicates=1\n--param=steps=2000\n--param=dims=2\n")
         code, out, err = run_cli(
-            capsys, "study", "--name", "gaussian-dimension", "--config", str(cfg), "--param", "steps=300"
+            capsys, "study", "--name", "gaussian-dimension", f"@{args_file}", "--param", "steps=300"
         )
         assert code == 0, err
         assert parse(out)["config"]["param"] == ["steps=2000", "dims=2", "steps=300"]
         params = json.loads((tmp_path / "gaussian_dimension.json").read_text())["spec"]["params"]
         assert params["steps"] == 300 and params["dims"] == [2]
 
+    @pytest.mark.parametrize("text", ["--rho=0.5\n\n--iterations=40\n", "rho = 0.5\n"], ids=["blank-line", "key-value"])
+    def test_line_that_is_not_an_argument_rejected(self, capsys, walk_csv, tmp_path, text):
+        """A blank line is an empty argument, and a ``key = value`` line no flag."""
+        args_file = tmp_path / "run.args"
+        args_file.write_text(text)
+        code, out, err = run_cli(capsys, "gamma2", "--input", str(walk_csv), f"@{args_file}")
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: " in err
+
+    def test_missing_file_is_argument_error(self, capsys, walk_csv, tmp_path):
+        code, out, err = run_cli(capsys, "gamma2", "--input", str(walk_csv), f"@{tmp_path / 'nope.args'}")
+        assert code == 2 and out == ""
+        assert "No such file or directory" in err and "nope.args" in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--config", "x"), ("--radii-min", "0.1", "--radii-max", "1")],
+        ids=["config", "radii-min-max"],
+    )
+    def test_removed_flags_rejected(self, capsys, walk_csv, flags):
+        code, out, err = run_cli(capsys, "ballmass", "--input", str(walk_csv), *flags)
+        assert code == 2 and out == ""
+        assert f"unrecognized arguments: {' '.join(flags)}" in err
+
+    def test_path_starting_with_at_joins_its_flag(self, capsys, walk_csv, tmp_path, monkeypatch):
+        """A separate argument that starts with ``@`` names an argument file; joined to its flag it is a value."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "@walk.csv").write_bytes(walk_csv.read_bytes())
+        code, out, err = run_cli(capsys, "tail-fit", "--input=@walk.csv")
+        assert code == 0, err
+        assert parse(out)["config"]["input"] == "@walk.csv"
+        code, out, err = run_cli(capsys, "tail-fit", "--input", "@walk.csv")
+        assert code == 2 and out == ""
+
 
 def _config_file_text(config: dict) -> str:
-    """A reported config as `key = value` lines: unset (null) flags left out,
-    lists joined by commas and one line per `param` override."""
+    """A reported config as an argument file, README's rule: one ``--flag=value`` line per key, unset (null)
+    flags and false switches left out, a true switch as its bare flag, lists joined by commas and one line per
+    ``param`` entry."""
     lines = []
     for key, value in config.items():
-        if value is None:
+        flag = "--" + key.replace("_", "-")
+        if value is None or value is False:
             continue
-        if key == "param":
-            lines += [f"param = {item}" for item in value]
-        elif isinstance(value, bool):
-            lines.append(f"{key} = {str(value).lower()}")
+        if value is True:
+            lines.append(flag)
+        elif key == "param":
+            lines += [f"{flag}={item}" for item in value]
         elif isinstance(value, list):
-            lines.append(f"{key} = {','.join(str(x) for x in value)}")
+            lines.append(f"{flag}={','.join(str(x) for x in value)}")
         else:
-            lines.append(f"{key} = {value}")
+            lines.append(f"{flag}={value}")
     return "\n".join(lines) + "\n"
 
 
 _FT_SMALL = ("--iterations", "100", "--restarts", "1")
-_EXPLICIT_RADII = ("--radii-min", "0.05", "--radii-max", "2", "--radii-num", "9")
+_EXPLICIT_RADII = ("--radii-range", "0.05,2", "--radii-num", "9")
 _ROUND_TRIP = {
     "simulate": ("simulate", "--kind", "beta-prime-walk", "--steps", "120", "--seed", "3", "--bp-alpha", "0.7",
                  "--out", "sim.csv"),
@@ -636,11 +697,16 @@ def test_reported_config_reproduces_report(case, capsys, walk_csv, tmp_path, mon
     argv = [a.format(walk=walk_csv, curve=curve) for a in _ROUND_TRIP[case]]
     code, first, err = run_cli(capsys, *argv)
     assert code == 0, err
-    cfg = tmp_path / "recorded.cfg"
-    cfg.write_text(_config_file_text(parse(first)["config"]))
-    code, second, err = run_cli(capsys, argv[0], "--config", str(cfg))
+    args_file = tmp_path / "recorded.args"
+    args_file.write_text(_config_file_text(parse(first)["config"]))
+    code, second, err = run_cli(capsys, argv[0], f"@{args_file}")
     assert code == 0, err
     assert second == first
+    if case in ("analyze", "study"):  # the same file with the subcommand as its first line
+        args_file.write_text(f"{argv[0]}\n{args_file.read_text()}")
+        code, third, err = run_cli(capsys, f"@{args_file}")
+        assert code == 0, err
+        assert third == first
 
 
 def _variant_reads(argv) -> tuple[str, ...]:
@@ -681,7 +747,8 @@ def test_variant_rejects_flag_it_does_not_read(argv, name, capsys, tmp_path, mon
     flag = "--" + name.replace("_", "-")
     code, out, err = run_cli(capsys, *argv, flag, "1")
     assert code == 2
-    assert f"{argv[1]} {argv[2]} does not read {flag}" in err
+    variant = argv[2] if argv[0] == "bound" else argv[2].replace("-", "_")  # the kind as recorded
+    assert f"{argv[1]} {variant} does not read {flag}" in err
     assert out == "" and list(tmp_path.iterdir()) == []
 
 
@@ -1042,6 +1109,20 @@ class TestAnalyze:
         assert plain["normalization"] == {"first_scaled_index": 1, "degenerate_axes": [], "convention": "population"}
         assert (tiny["normalization"], tiny["gamma2_method"]) == (plain["normalization"], plain["gamma2_method"])
         assert tiny["gamma2"] == pytest.approx(plain["gamma2"], rel=1e-12)
+
+    def test_normalize_is_exact_at_power_of_two_scales(self, capsys, tmp_path):
+        """The whole normalized window, the iterates before ``first_scaled_index`` too, is the same at every 2^k."""
+        walk = simulate(ProcessSpec("gaussian_walk", 3, 300, 3)).points
+        reads = []
+        for k in (0, 40, -600):
+            path = tmp_path / f"walk{k}.csv"
+            np.savetxt(path, np.ldexp(walk, k), fmt="%.17g", delimiter=",")
+            code, out, err = run_cli(capsys, "analyze", "--input", str(path), "--normalize", *_FT_SMALL)
+            assert code == 0, err
+            doc = parse(out)
+            reads.append((doc["gamma2"], doc["gamma2_method"], doc["covering"], doc["normalization"]))
+        assert reads[1] == reads[0] and reads[2] == reads[0]
+        assert reads[0][2] is not None and reads[0][3]["first_scaled_index"] == 1
 
     @pytest.mark.parametrize("flags, matrices", [((), 1), (("--normalize",), 2)])
     def test_one_distance_matrix_per_point_set(self, capsys, walk_csv, monkeypatch, flags, matrices):

@@ -459,15 +459,26 @@ class TestNormalizeByRunningStd:
 
     @pytest.mark.parametrize("k", [40, -40, 600, -600, 1000, -1000])
     def test_power_of_two_scale_is_exact_at_every_scale(self, k):
-        """A walk scaled by 2^k normalizes to bitwise the same points; the unscaled prefix passes through scaled."""
-        walk = simulate(ProcessSpec("gaussian_walk", dim=2, steps=300, seed=3))
+        """A walk scaled by 2^k normalizes to bitwise the same points, the prefix before the first scaled index too.
+
+        The walk is a late window, so its first iterate is away from the origin.
+        """
+        walk = Trajectory(simulate(ProcessSpec("gaussian_walk", dim=2, steps=300, seed=3)).points[-201:])
         a = normalize_by_running_std(walk)
         b = normalize_by_running_std(Trajectory(np.ldexp(walk.points, k)))
         k0 = a.first_scaled_index
-        assert (k0, a.degenerate_axes) == (1, ())
+        assert (k0, a.degenerate_axes) == (1, ()) and np.all(walk.points[0] != 0.0)
         assert (b.first_scaled_index, b.degenerate_axes) == (k0, a.degenerate_axes)
-        np.testing.assert_array_equal(b.trajectory.points[k0:], a.trajectory.points[k0:])
-        np.testing.assert_array_equal(b.trajectory.points[:k0], np.ldexp(a.trajectory.points[:k0], k))
+        np.testing.assert_array_equal(b.trajectory.points, a.trajectory.points)
+
+    def test_prefix_divided_by_first_scaled_std(self):
+        """Iterates before the first index with positive std on every varying axis are divided by that index's."""
+        pts = np.array([[1.0, 5.0], [1.0, 7.0], [3.0, 6.0], [2.0, 4.0]])
+        res = normalize_by_running_std(Trajectory(pts))
+        ref_sd = np.sqrt([[statistics.pvariance(pts[: k + 1, a]) for a in range(2)] for k in range(4)])
+        assert res.first_scaled_index == 2
+        expected = pts / np.vstack([ref_sd[2], ref_sd[2], ref_sd[2:]])
+        np.testing.assert_allclose(res.trajectory.points, expected, rtol=1e-15, atol=0)
 
     def test_overflowed_centering_is_data_error(self):
         pts = np.array([[1e308, 0.0], [-1e308, 1.0], [0.0, 2.0]])
