@@ -178,14 +178,10 @@ def cmd_tail_fit(args) -> dict:
 
 def cmd_stable_index(args) -> dict:
     trajectory = core.load_trajectory(args.input, args.has_header)
-    sizes = [trajectory.dim] if args.layer_sizes is None else list(args.layer_sizes)
+    sizes = (trajectory.dim,) if args.layer_sizes is None else args.layer_sizes
     if sum(sizes) != trajectory.dim:
         raise DataError(f"--layer-sizes sum to {sum(sizes)}, but {args.input} has {trajectory.dim} columns")
-    blocks, start = [], 0
-    for s in sizes:
-        blocks.append(list(range(start, start + s)))
-        start += s
-    result = exponents.layerwise_stable_index(trajectory, blocks, args.block_size)
+    result = exponents.layerwise_stable_index(trajectory, sizes, args.block_size)
     return {"command": "stable-index", **dataclasses.asdict(result)}
 
 
@@ -357,7 +353,7 @@ def cmd_analyze(args) -> dict:
     _attempt(
         report,
         "stable_index",
-        lambda: exponents.stable_index(core.increments(trajectory, 1).ravel(), args.block_size).alpha_hat,
+        lambda: exponents.layerwise_stable_index(trajectory, (trajectory.dim,), args.block_size).alpha_hat,
     )
     _attempt(report, "k_function_slope", lambda: spatial.k_function_slope(_k_function(args, trajectory)))
     _attempt(report, "covering", lambda: {"dudley_value": _cover(args, ft_input, args.rho)[1].dudley_value})
@@ -378,8 +374,8 @@ def _add_radii_flags(sub: argparse.ArgumentParser, flags: tuple[str, ...] = tupl
 
 
 def _add_ft_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--iterations", type=int, default=ft.DEFAULT_OPTIONS.iterations)
-    sub.add_argument("--restarts", type=int, default=ft.DEFAULT_OPTIONS.restarts)
+    sub.add_argument("--iterations", type=_positive_int, default=ft.DEFAULT_OPTIONS.iterations)
+    sub.add_argument("--restarts", type=_positive_int, default=ft.DEFAULT_OPTIONS.restarts)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -388,8 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("simulate", help="generate a process trajectory", argument_default=argparse.SUPPRESS)
     sub.add_argument("--kind", required=True, type=_underscored, choices=PROCESS_KINDS)
-    sub.add_argument("--dim", type=int, default=2)
-    sub.add_argument("--steps", type=int, default=1000)
+    sub.add_argument("--dim", type=_positive_int, default=2)
+    sub.add_argument("--steps", type=_positive_int, default=1000)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", required=True, help="output trajectory CSV")
     sub.add_argument("--sigma", type=_csv_floats)
@@ -463,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("study", help="run a bundled simulation study")
     sub.add_argument("--name", required=True, type=_underscored, choices=STUDIES)
-    sub.add_argument("--replicates", type=int, default=None)
+    sub.add_argument("--replicates", type=_positive_int, default=None)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--param", action="append", type=_param, help="override a study parameter, KEY=VALUE")
     sub.add_argument("--threads", type=_positive_int, default=1, help="worker threads for the study cells")

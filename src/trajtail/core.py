@@ -221,6 +221,17 @@ class RadiusGrid:
         return cls(radii)
 
 
+def _window_slope(radii: RadiusGrid, values: np.ndarray, usable: np.ndarray, what: str) -> float:
+    """Least-squares slope of log ``values`` against log radius over the ``usable`` grid points, at least 5.
+
+    ``what`` names the window in the :class:`DataError` raised when fewer are usable.
+    """
+    count = int(usable.sum())
+    if count < 5:
+        raise DataError(f"only {count} grid points with {what} (need 5)")
+    return float(np.polyfit(np.log(radii.radii[usable]), np.log(values[usable]), 1)[0])
+
+
 def load_trajectory(path: str | Path, has_header: bool = False, last: int | None = None) -> Trajectory:
     """Read a trajectory from CSV: one iterate per row, D numeric columns.
 

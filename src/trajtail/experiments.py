@@ -57,7 +57,7 @@ _DEFAULT_PARAMS: dict[str, dict[str, Any]] = {
         "steps": 100,
         "rho": 0.25,
         "normalization": "full",
-        "ft_iterations": 300,
+        "ft_iterations": 100,
     },
     "gaussian_dimension": {
         "dims": (1, 2, 3),

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import DataError, RadiusGrid, Trajectory, check_finite, increments, step_norms
+from .core import DataError, RadiusGrid, Trajectory, _window_slope, check_finite, increments, step_norms
 
 __all__ = [
     "TailFitResult",
@@ -201,11 +201,7 @@ def exponent_from_ball_mass(curve: BallMassCurve, window: tuple[float, float] = 
     if not 0.0 < lo < hi < 1.0:
         raise ValueError(f"window must satisfy 0 < lo < hi < 1, got {window}")
     m = curve.masses
-    usable = (m >= lo) & (m <= hi)
-    if int(usable.sum()) < 5:
-        raise DataError(f"only {int(usable.sum())} grid points with mass in [{lo}, {hi}] (need 5)")
-    slope = np.polyfit(np.log(curve.radii.radii[usable]), np.log(m[usable]), 1)[0]
-    return float(slope)
+    return _window_slope(curve.radii, m, (m >= lo) & (m <= hi), f"mass in [{lo}, {hi}]")
 
 
 def stable_index(samples: Sequence[float], block_size: int = 10) -> StableIndexResult:
@@ -237,31 +233,17 @@ def stable_index(samples: Sequence[float], block_size: int = 10) -> StableIndexR
     return StableIndexResult(float(alpha), (float(alpha),), block_size, dropped)
 
 
-def layerwise_stable_index(
-    trajectory: Trajectory, blocks: Sequence[Sequence[int]], block_size: int = 10
-) -> StableIndexResult:
-    """Median over coordinate blocks of the stable index of pooled lag-1 steps.
+def layerwise_stable_index(trajectory: Trajectory, sizes: Sequence[int], block_size: int = 10) -> StableIndexResult:
+    """Median over layers of the stable index of each layer's pooled lag-1 steps.
 
-    ``blocks`` must partition the coordinate indices 0..D-1.
+    ``sizes`` are the widths of consecutive coordinate layers, in coordinate
+    order; they must be positive and sum to the dimension.  One layer,
+    ``(dim,)``, is the stable index of all steps pooled.
     """
-    dim = trajectory.dim
-    seen: set[int] = set()
-    for b in blocks:
-        if len(b) == 0:
-            raise ValueError("blocks must be nonempty")
-        for i in b:
-            if not 0 <= i < dim:
-                raise ValueError(f"coordinate index {i} out of range for dimension {dim}")
-            if i in seen:
-                raise ValueError(f"coordinate index {i} appears in more than one block")
-            seen.add(i)
-    if len(seen) != dim:
-        raise ValueError(f"blocks cover {len(seen)} of {dim} coordinates")
-    deltas = increments(trajectory, 1)
-    per_block = []
-    dropped = 0
-    for b in blocks:
-        res = stable_index(deltas[:, list(b)].ravel(), block_size)
-        per_block.append(res.alpha_hat)
-        dropped += res.n_zero_dropped
-    return StableIndexResult(float(np.median(per_block)), tuple(per_block), block_size, dropped)
+    if min(sizes) < 1 or sum(sizes) != trajectory.dim:
+        raise ValueError(f"layer sizes {tuple(sizes)} are not positive widths summing to dimension {trajectory.dim}")
+    layers = np.split(increments(trajectory, 1), np.cumsum(sizes)[:-1], axis=1)
+    results = [stable_index(layer.ravel(), block_size) for layer in layers]
+    per_block = tuple(res.alpha_hat for res in results)
+    dropped = sum(res.n_zero_dropped for res in results)
+    return StableIndexResult(float(np.median(per_block)), per_block, block_size, dropped)

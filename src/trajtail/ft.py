@@ -244,14 +244,17 @@ class _Workspace:
         np.multiply(c, r, out=r)
         np.divide(self.seg, r, out=c)
         np.cumsum(c[:, ::-1], axis=1, out=r[:, ::-1])
-        # Row i's squared norm over scale^2: sum q^2 R^2 - 2 a sum q^2 R + a^2 |p|^2, a = sum q R.
-        np.multiply(q, r, out=c)
-        a = c.sum(axis=1, dtype=np.float64)
+        # Row i's squared norm over scale^2, a = sum q R: sum (q (R - a))^2 over the kept columns plus
+        # a^2 times the squared weights outside them, |p|^2 - sum q^2 clamped at 0.  Expanding the
+        # square instead cancels in float32 where R reaches 1 / _SQRT_LOG_FLOOR.  a^2 can reach
+        # 1e12, so the remainder takes p rounded as q holds it and sums in float64.
+        a = np.einsum("ij,ij->i", q, r)
+        np.subtract(r, a[:, None], out=c)
         np.multiply(c, q, out=c)
-        b = c.sum(axis=1, dtype=np.float64)
-        np.multiply(c, r, out=c)
-        d = c.sum(axis=1, dtype=np.float64)
-        curvature = scale * scale * float(lam @ (d - 2.0 * a * b + a * a * (p @ p)))
+        pq = p.astype(q.dtype, copy=False).astype(np.float64, copy=False)
+        outside = np.maximum(pq @ pq - np.einsum("ij,ij->i", q, q, dtype=np.float64), 0.0)
+        norms = np.einsum("ij,ij->i", c, c) + np.square(a, dtype=np.float64) * outside
+        curvature = scale * scale * float(lam @ norms)
         np.multiply(r, (scale * lam).astype(r.dtype)[:, None], out=r)
         # np.add.at adds in index order, as np.bincount does, so g is bitwise
         # bincount's; float32 weights are cast one chunk at a time, float64 ones not at all.

@@ -109,16 +109,13 @@ def stable_transform(alpha: float, u: np.ndarray, e: np.ndarray) -> np.ndarray:
     return t1 * t2
 
 
-def stable_sample(alpha: float, rng: np.random.Generator, size=None) -> np.ndarray | float:
-    """Unit-scale symmetric stable draw(s) via the trigonometric transform."""
-    u = rng.uniform(-np.pi / 2, np.pi / 2, size)
-    e = rng.standard_exponential(size)
-    out = stable_transform(alpha, u, e)
-    return float(out) if size is None else out
+def stable_sample(alpha: float, rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
+    """An array of ``size`` unit-scale symmetric stable draws via the trigonometric transform."""
+    return stable_transform(alpha, rng.uniform(-np.pi / 2, np.pi / 2, size), rng.standard_exponential(size))
 
 
-def beta_prime_sample(alpha: float, beta: float, rng: np.random.Generator, size=None) -> np.ndarray | float:
-    """Beta-prime draw(s) as a ratio of gamma variates with shapes (alpha, beta).
+def beta_prime_sample(alpha: float, beta: float, rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
+    """An array of ``size`` beta-prime draws, each a ratio of gamma variates with shapes (alpha, beta).
 
     Tiny shapes can underflow a gamma draw to zero; such draws are resampled
     so the result is always positive and finite.  Raises :class:`DataError`
@@ -126,8 +123,8 @@ def beta_prime_sample(alpha: float, beta: float, rng: np.random.Generator, size=
     """
     if not (alpha > 0 and beta > 0):
         raise ValueError(f"shapes must be positive, got ({alpha}, {beta})")
-    g1 = np.atleast_1d(rng.standard_gamma(alpha, size))
-    g2 = np.atleast_1d(rng.standard_gamma(beta, size))
+    g1 = rng.standard_gamma(alpha, size)
+    g2 = rng.standard_gamma(beta, size)
     for _ in range(100):
         bad = (g1 <= 0.0) | (g2 <= 0.0)
         if not bad.any():
@@ -137,8 +134,7 @@ def beta_prime_sample(alpha: float, beta: float, rng: np.random.Generator, size=
         g2[bad] = rng.standard_gamma(beta, k)
     else:
         raise DataError(f"gamma draws with shapes ({alpha}, {beta}) kept underflowing to zero")
-    out = g1 / g2
-    return float(out[0]) if size is None else out.reshape(size)
+    return g1 / g2
 
 
 def simulate(spec: ProcessSpec) -> Trajectory:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataError, RadiusGrid, Trajectory
+from .core import DataError, RadiusGrid, Trajectory, _window_slope
 
 __all__ = [
     "KFunctionCurve",
@@ -88,10 +88,7 @@ def k_function_slope(curve: KFunctionCurve, window: tuple[float, float] = DEFAUL
     total = curve.diameter * (curve.n - 1)
     frac = curve.values / total
     usable = (frac >= lo) & (frac <= hi) & (curve.values > 0.0)
-    if int(usable.sum()) < 5:
-        raise DataError(f"only {int(usable.sum())} grid points with pair fraction in [{lo}, {hi}] (need 5)")
-    slope = np.polyfit(np.log(curve.radii.radii[usable]), np.log(curve.values[usable]), 1)[0]
-    return float(slope)
+    return _window_slope(curve.radii, curve.values, usable, f"pair fraction in [{lo}, {hi}]")
 
 
 def _farthest_point_radii(dist: np.ndarray) -> np.ndarray:

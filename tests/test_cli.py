@@ -121,11 +121,16 @@ class TestExitCodes:
              "argument --mass-window: expected 0 < lo < hi < 1"),
             (("kfunction", "--input", "nope.csv", "--window", "0.5,0.1"),
              "argument --window: expected 0 < lo < hi <= 1"),
-            (("gamma2", "--input", "nope.csv", "--iterations", "0"), "iterations and restarts must be >= 1"),
-            (("analyze", "--input", "nope.csv", "--restarts", "0"), "iterations and restarts must be >= 1"),
-            (("simulate", "--kind", "gaussian-walk", "--steps", "0", "--out", "t.csv"), "steps must be >= 1, got 0"),
-            (("simulate", "--kind", "gaussian-walk", "--dim", "0", "--out", "t.csv"), "dim must be >= 1, got 0"),
-            (("study", "--name", "gaussian-dimension", "--replicates", "0"), "replicates must be >= 1"),
+            (("gamma2", "--input", "nope.csv", "--iterations", "0"),
+             "argument --iterations: expected a positive integer, got '0'"),
+            (("analyze", "--input", "nope.csv", "--restarts", "0"),
+             "argument --restarts: expected a positive integer, got '0'"),
+            (("simulate", "--kind", "gaussian-walk", "--steps", "0", "--out", "t.csv"),
+             "argument --steps: expected a positive integer, got '0'"),
+            (("simulate", "--kind", "gaussian-walk", "--dim", "0", "--out", "t.csv"),
+             "argument --dim: expected a positive integer, got '0'"),
+            (("study", "--name", "gaussian-dimension", "--replicates", "0"),
+             "argument --replicates: expected a positive integer, got '0'"),
             (("gamma2", "--input", "nope.csv", "--rho", "-1"), "argument --rho: expected a positive number"),
             (("analyze", "--input", "nope.csv", "--rho", "0"), "argument --rho: expected a positive number"),
             (("cover", "--input", "nope.csv", "--rho", "inf"), "argument --rho: expected a positive number"),
@@ -799,6 +804,24 @@ class TestEstimatorCommands:
         )
         assert code == 0
         assert len(parse(out)["per_block"]) == 2
+
+    def test_stable_index_values_frozen(self, capsys, tmp_path):
+        """``analyze`` and ``stable-index`` both take the one-layer path of ``layerwise_stable_index``.
+
+        The values are those of the earlier paths, which passed coordinate-index
+        blocks and called ``stable_index`` on the raveled steps directly.
+        """
+        path = tmp_path / "stable.csv"
+        argv = ("--kind", "stable-levy-walk", "--dim", "3", "--steps", "400", "--seed", "11", "--out", str(path))
+        assert run_cli(capsys, "simulate", *argv)[0] == 0
+        code, out, _ = run_cli(capsys, "analyze", "--input", str(path), "--iterations", "5")
+        assert code == 0 and parse(out)["stable_index"] == 1.4310929993486008
+        code, out, _ = run_cli(capsys, "stable-index", "--input", str(path))
+        assert code == 0 and parse(out)["per_block"] == [parse(out)["alpha_hat"]] == [1.4374841080105223]
+        code, out, _ = run_cli(capsys, "stable-index", "--input", str(path), "--layer-sizes", "1,2")
+        assert code == 0
+        assert parse(out)["per_block"] == [1.5879584519455618, 1.6395912372541326]
+        assert parse(out)["alpha_hat"] == 1.6137748445998472
 
     def test_ballmass_writes_curve(self, capsys, walk_csv, tmp_path):
         out_dir = tmp_path / "bm"

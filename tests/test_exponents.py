@@ -235,27 +235,28 @@ class TestLayerwiseStableIndex:
     def test_single_block_matches_pooled(self):
         walk = self._mixed_walk(2000)
         pooled = stable_index(increments(walk, 1).ravel(), 10)
-        layered = layerwise_stable_index(walk, [[0, 1, 2, 3]], 10)
-        assert layered.alpha_hat == pooled.alpha_hat
+        layered = layerwise_stable_index(walk, (4,), 10)
+        assert layered == pooled
 
     def test_two_blocks_median_is_midpoint(self):
         walk = self._mixed_walk()
-        res = layerwise_stable_index(walk, [[0, 1], [2, 3]], 10)
+        res = layerwise_stable_index(walk, (2, 2), 10)
         assert res.per_block[0] == pytest.approx(2.0, abs=0.1)
         assert res.per_block[1] == pytest.approx(1.0, abs=0.1)
         assert res.alpha_hat == pytest.approx(np.mean(res.per_block), abs=1e-12)
 
     def test_partition_must_cover(self):
         walk = self._mixed_walk(500)
-        with pytest.raises(ValueError):
-            layerwise_stable_index(walk, [[0, 1]], 10)
+        with pytest.raises(ValueError, match="summing to dimension 4"):
+            layerwise_stable_index(walk, (2,), 10)
 
     def test_empty_block_rejected(self):
         walk = self._mixed_walk(500)
         with pytest.raises(ValueError):
-            layerwise_stable_index(walk, [[0, 1, 2, 3], []], 10)
+            layerwise_stable_index(walk, (4, 0), 10)
 
     def test_overlapping_blocks_rejected(self):
+        """Widths past the dimension, as layers sharing a coordinate would need."""
         walk = self._mixed_walk(500)
         with pytest.raises(ValueError):
-            layerwise_stable_index(walk, [[0, 1, 2], [2, 3]], 10)
+            layerwise_stable_index(walk, (3, 2), 10)

@@ -422,6 +422,22 @@ class TestSmoothedMaxStep:
         assert values["float32"][2] < values["float64"][2]
         np.testing.assert_allclose(values["float32"][:2], values["float64"][:2], rtol=1e-6)
 
+    def test_float32_curvature_where_a_row_reaches_mass_one(self):
+        """Row 0 of the points 0, 6, 10 reaches mass 1 inside its kept columns at weights (0.5, 0.5, 0).
+
+        There ``R`` is about 1 / ``_SQRT_LOG_FLOOR``, and expanding row 0's
+        squared norm into ``sum q^2 R^2 - 2 a sum q^2 R + a^2 |p|^2`` cancels
+        in float32 (6.52e4 against 25.97).  A large ``mu`` spreads lambda over
+        every row, so row 0 counts in the curvature.
+        """
+        gram = TruncatedGram.from_points(np.array([[0.0], [6.0], [10.0]]), 20.0)
+        p = np.array([0.5, 0.5, 0.0])
+        curvature = {}
+        for dtype in ("float64", "float32"):
+            work = _Workspace(gram, dtype)
+            curvature[dtype] = work.gradient(p, work.integrals(p), 1e6)[1]
+        assert curvature["float32"] == pytest.approx(curvature["float64"], rel=0.05)
+
     @staticmethod
     def _scatter_grams(rng):
         """Grams whose ``n * w`` is zero, below one chunk, an exact multiple of it and a non-multiple past it."""
@@ -508,6 +524,25 @@ class TestSmoothedMaxStep:
             for rep, plain in enumerate(self.PLAIN_DESCENT_50[arm]):
                 value = experiments._cell_figure1_ordering(arm, Seed(2024).spawn(gi, rep), params)["gamma2"]
                 assert value <= plain, (arm, rep, value, plain)
+
+    # Appendix-C cells at seed 2024, per grid index and replicate: the values that
+    # plain gradient steps (no momentum) reached at 300 float64 iterations, the
+    # study budget before the accelerated descent.
+    PLAIN_DESCENT_300 = {
+        0: (1.2802227559004449, 1.3063812768454375, 1.272200110301203),
+        3: (1.566936984623531, 1.549476239461525, 1.663514750384299),
+        6: (1.8417718237181768, 1.7367483801698538, 1.7532203659408356),
+        9: (1.989110870311857, 1.931954025915343, 1.996116427142116),
+    }
+
+    def test_appendix_c_cells_beat_plain_descent_at_a_third_of_the_budget(self):
+        spec = experiments.StudySpec("appendix_c_curve")
+        params = spec.params
+        assert params["ft_iterations"] <= 100
+        for gi, plains in self.PLAIN_DESCENT_300.items():
+            for rep, plain in enumerate(plains):
+                value = experiments._cell_appendix_c_curve(spec.grid[gi], Seed(2024).spawn(gi, rep), params)["gamma2"]
+                assert value <= plain, (gi, rep, value, plain)
 
 
 class TestBruteForce:

@@ -187,7 +187,7 @@ class TestBetaPrimeSampling:
 
     def test_invalid_shape(self):
         with pytest.raises(ValueError):
-            beta_prime_sample(0.0, 1.0, Seed(0).generator())
+            beta_prime_sample(0.0, 1.0, Seed(0).generator(), 4)
 
 
 class TestWalkLaws:
